@@ -57,6 +57,7 @@ from .rationals import format_rational, parse_rational
 from .similarity import (
     QuadModel,
     WeakSimilarityWitness,
+    are_isometric,
     classify_forbidden,
     model_match,
     rank_matrix,
@@ -68,8 +69,6 @@ from .spaces import (
     UltraDiagnosis,
     Violation,
     adjoin_near,
-    are_isometric,
-    is_ultrametric,
     min_pair,
     min_positive_distance,
     restrict,

@@ -36,9 +36,6 @@ from .stars import center_condition_violation
 class Verdict(Enum):
     US = "US"
     FORBIDDEN = "FORBIDDEN"
-    # reserved for inputs that cannot be fully scanned; never produced for
-    # finite matrices, where the two criteria decide everything
-    EMBEDDABLE_NOT_DECIDED = "EMBEDDABLE_NOT_DECIDED"
 
 
 @dataclass(frozen=True)
@@ -160,12 +157,7 @@ def shift(space: FiniteMetricSpace, delta: RationalLike, check: bool = True) -> 
     floor = min_positive_distance(space)
     if floor is not None and delta >= floor:
         raise ValueError(f"delta = {delta} must be strictly below min D0 = {floor}")
-    n = space.n
-    rows = [
-        [space.dist[i][j] - delta if i != j else Fraction(0) for j in range(n)]
-        for i in range(n)
-    ]
-    return FiniteMetricSpace(space.points, rows)
+    return _offset(space, -delta)
 
 
 def unshift(space: FiniteMetricSpace, delta: RationalLike, check: bool = True) -> FiniteMetricSpace:
@@ -177,6 +169,11 @@ def unshift(space: FiniteMetricSpace, delta: RationalLike, check: bool = True) -
         require_ultrametric(space)
     if delta == 0:
         return space
+    return _offset(space, delta)
+
+
+def _offset(space: FiniteMetricSpace, delta: Fraction) -> FiniteMetricSpace:
+    """The space with ``delta`` added to every off-diagonal distance."""
     n = space.n
     rows = [
         [space.dist[i][j] + delta if i != j else Fraction(0) for j in range(n)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import NotCompleteMultipartiteError
 from .spaces import FiniteMetricSpace
@@ -49,10 +49,6 @@ class SimpleGraph:
 
     def degree(self, v: str) -> int:
         return sum(1 for e in self.edges if v in e)
-
-    def sorted_edges(self) -> list[tuple[str, str]]:
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        return sorted(self.edges, key=lambda e: (pos[e[0]], pos[e[1]]))
 
 
 @dataclass(frozen=True)
@@ -185,10 +181,29 @@ def classify_four_point(space: FiniteMetricSpace) -> FourPointClass:
 
 def graph_to_dot(graph: SimpleGraph) -> str:
     """Graphviz text with vertices and edges in lexicographic order."""
+    return _dot(graph.vertices, graph.edges, None)
+
+
+def _dot(
+    vertices: Iterable[str],
+    edges: Iterable[tuple[str, str]],
+    labels: Optional[Mapping[str, str]],
+) -> str:
+    """Undirected Graphviz text, vertices and edges sorted lexicographically.
+
+    Names and labels are written as quoted DOT strings with backslash, double
+    quote and newline escaped, so any label yields valid Graphviz.
+    """
     lines = ["graph {"]
-    for v in sorted(graph.vertices):
-        lines.append(f'  "{v}";')
-    for u, v in sorted(tuple(sorted(e)) for e in graph.edges):
-        lines.append(f'  "{u}" -- "{v}";')
+    for v in sorted(vertices):
+        attr = f" [label={_dot_quote(labels[v])}]" if labels is not None else ""
+        lines.append(f"  {_dot_quote(v)}{attr};")
+    for u, v in sorted(tuple(sorted(e)) for e in edges):
+        lines.append(f"  {_dot_quote(u)} -- {_dot_quote(v)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_quote(text: str) -> str:
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{escaped}"'

@@ -13,6 +13,7 @@ through an independent load path before reporting it.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -407,20 +408,24 @@ def run_campaign(spec: GeneratorSpec, which: str, jobs: int = 1) -> ConjectureRe
     Stops at the first counterexample (by enumeration order) or at
     exhaustion/budget.  A counterexample must re-verify from its serialized
     form or the run aborts.  ``jobs`` > 1 parallelizes sampled campaigns over
-    index ranges; the merged result is identical to the sequential one.
+    index ranges, with at most one worker per CPU and per sample; the merged
+    result is identical to the sequential one.
     """
     if which not in CONJECTURE_IDS:
         raise ValueError(f"unknown conjecture id {which!r}; expected one of {CONJECTURE_IDS}")
     if spec.n < 4:
         raise ValueError("conjecture campaigns need n >= 4")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs, os.cpu_count() or 1, spec.count)
     start = time.perf_counter()
     instances = 0
     bad_space: Optional[FiniteMetricSpace] = None
     explanation: Optional[str] = None
 
-    if spec.mode == "sample" and jobs > 1 and spec.count > 0:
+    if spec.mode == "sample" and workers > 1:
         trial = partial(_sample_trial, spec, which)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(trial, range(spec.count), chunksize=64))
         instances = spec.count
         for index, outcome in enumerate(outcomes):

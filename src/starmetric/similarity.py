@@ -5,7 +5,8 @@ strictly increasing bijection between their distance sets carries one metric
 to the other.  Between finite totally ordered sets of equal size the
 increasing bijection is unique, so the two-sided search collapses to one:
 replace every distance by its rank in the sorted spectrum and look for a
-bijection equating the rank matrices.
+bijection equating the rank matrices.  Isometry is the case of equal
+spectra, so one rank-matrix matcher serves both searches.
 """
 
 from __future__ import annotations
@@ -25,8 +26,71 @@ RankMatrix = tuple[tuple[int, ...], ...]
 
 def rank_matrix(space: FiniteMetricSpace) -> RankMatrix:
     """Each distance replaced by its index in the sorted spectrum (0 = diagonal)."""
-    ranks = {value: k for k, value in enumerate(spectrum(space).values)}
-    return tuple(tuple(ranks[x] for x in row) for row in space.dist)
+    return _ranks(space, spectrum(space).values)
+
+
+def _ranks(space: FiniteMetricSpace, values: tuple[Fraction, ...]) -> RankMatrix:
+    index = {value: k for k, value in enumerate(values)}
+    return tuple(tuple(index[x] for x in row) for row in space.dist)
+
+
+def _match_ranks(ra: RankMatrix, rb: RankMatrix) -> Optional[list[int]]:
+    """First bijection (as ``assign[i] = j``) with ra[i][k] == rb[assign[i]][assign[k]].
+
+    Backtracks over points of ``ra`` in stored order, trying candidates of
+    ``rb`` in stored order and pruning on sorted rank profiles, so the
+    result is the lexicographically first match.
+    """
+    n = len(ra)
+    prof_a = [tuple(sorted(ra[i][k] for k in range(n) if k != i)) for i in range(n)]
+    prof_b = [tuple(sorted(rb[j][k] for k in range(n) if k != j)) for j in range(n)]
+    assign: list[int] = []
+    used = [False] * n
+
+    def extend(i: int) -> bool:
+        if i == n:
+            return True
+        for j in range(n):
+            if used[j] or prof_a[i] != prof_b[j]:
+                continue
+            if any(ra[i][k] != rb[j][assign[k]] for k in range(i)):
+                continue
+            assign.append(j)
+            used[j] = True
+            if extend(i + 1):
+                return True
+            used[j] = False
+            assign.pop()
+        return False
+
+    return assign if extend(0) else None
+
+
+def are_isometric(
+    a: FiniteMetricSpace, b: FiniteMetricSpace, max_points: int = 8
+) -> Optional[dict[str, str]]:
+    """Search for a distance-preserving bijection from ``a`` onto ``b``.
+
+    An isometry is a weak similarity whose distance map is the identity, so
+    it exists iff the spectra are equal and the rank matrices match.  The
+    returned witness is the lexicographically first one.  Sizes above
+    ``max_points`` are refused explicitly rather than allowed to crawl
+    through factorial search space.
+    """
+    if a.n > max_points or b.n > max_points:
+        raise SizeCapError(
+            f"isometry search capped at {max_points} points "
+            f"(got {a.n} and {b.n}); raise max_points to override"
+        )
+    if a.n != b.n:
+        return None
+    values = spectrum(a).values
+    if spectrum(b).values != values:
+        return None
+    assign = _match_ranks(_ranks(a, values), _ranks(b, values))
+    if assign is None:
+        return None
+    return {a.points[i]: b.points[j] for i, j in enumerate(assign)}
 
 
 @dataclass(frozen=True)
@@ -77,9 +141,9 @@ def weakly_similar(
     """Search for a weak similarity from ``a`` onto ``b``.
 
     Present iff the spectra have equal size and some bijection equates the
-    rank matrices entrywise.  Backtracking runs in stored point order with
-    rank-profile pruning, so the witness is deterministic (first found).
-    Spaces of different cardinality are a usage error, not a negative answer.
+    rank matrices entrywise; the witness is the lexicographically first
+    such bijection.  Spaces of different cardinality are a usage error, not
+    a negative answer.
     """
     if a.n != b.n:
         raise ValueError(f"weak similarity needs equal point counts (got {a.n}, {b.n})")
@@ -92,34 +156,11 @@ def weakly_similar(
     spec_b = spectrum(b).values
     if len(spec_a) != len(spec_b):
         return None
-    ra = rank_matrix(a)
-    rb = rank_matrix(b)
-    n = a.n
-    prof_a = [tuple(sorted(ra[i][k] for k in range(n) if k != i)) for i in range(n)]
-    prof_b = [tuple(sorted(rb[j][k] for k in range(n) if k != j)) for j in range(n)]
-    assign: list[int] = []
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j] or prof_a[i] != prof_b[j]:
-                continue
-            if any(ra[i][k] != rb[j][assign[k]] for k in range(i)):
-                continue
-            assign.append(j)
-            used[j] = True
-            if extend(i + 1):
-                return True
-            used[j] = False
-            assign.pop()
-        return False
-
-    if not extend(0):
+    assign = _match_ranks(_ranks(a, spec_a), _ranks(b, spec_b))
+    if assign is None:
         return None
     witness = WeakSimilarityWitness(
-        phi=tuple((a.points[i], b.points[assign[i]]) for i in range(n)),
+        phi=tuple((a.points[i], b.points[j]) for i, j in enumerate(assign)),
         f_pairs=tuple(zip(spec_b[1:], spec_a[1:])),
     )
     if not witness.verify(a, b):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InvalidSpaceError, NotUltrametricError, SizeCapError, InternalCheckError
+from .errors import InternalCheckError, InvalidSpaceError, NotUltrametricError
 from .rationals import RationalLike, format_rational, parse_rational
 
 
@@ -91,6 +91,11 @@ class FiniteMetricSpace:
         rows = [[Fraction(0)] * n for _ in range(n)]
         seen = set()
         for (a, b), value in pairs.items():
+            for label in (a, b):
+                if label not in pos:
+                    raise InvalidSpaceError(
+                        "labels", f"pair ({a},{b}) names unknown point label {label!r}"
+                    )
             i, j = pos[a], pos[b]
             key = (min(i, j), max(i, j))
             if key in seen:
@@ -112,7 +117,12 @@ class FiniteMetricSpace:
     def from_dict(cls, data: dict) -> "FiniteMetricSpace":
         if not isinstance(data, dict) or "points" not in data or "dist" not in data:
             raise InvalidSpaceError("shape", "space JSON must have 'points' and 'dist'")
-        return cls(data["points"], data["dist"])
+        points, dist = data["points"], data["dist"]
+        if not isinstance(points, list):
+            raise InvalidSpaceError("labels", "space JSON 'points' must be an array of labels")
+        if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
+            raise InvalidSpaceError("shape", "space JSON 'dist' must be an array of arrays")
+        return cls(points, dist)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteMetricSpace):
@@ -218,10 +228,6 @@ def validate(space: FiniteMetricSpace) -> UltraDiagnosis:
     return UltraDiagnosis(is_metric=is_metric, is_ultrametric=False, violation=violation)
 
 
-def is_ultrametric(space: FiniteMetricSpace) -> bool:
-    return validate(space).is_ultrametric
-
-
 def require_ultrametric(space: FiniteMetricSpace) -> None:
     """Raise :class:`NotUltrametricError` unless the space is ultrametric."""
     diag = validate(space)
@@ -242,16 +248,8 @@ def spectrum(space: FiniteMetricSpace) -> Spectrum:
 
 def min_positive_distance(space: FiniteMetricSpace) -> Optional[Fraction]:
     """The smallest positive distance, or None for a singleton."""
-    n = space.n
-    if n < 2:
-        return None
-    dist = space.dist
-    best = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            if best is None or dist[i][j] < best:
-                best = dist[i][j]
-    return best
+    pair = min_pair(space)
+    return pair[2] if pair else None
 
 
 def restrict(space: FiniteMetricSpace, subset: Iterable[str]) -> FiniteMetricSpace:
@@ -355,53 +353,3 @@ def adjoin_near(
     new_row[a] = eps
     rows.append(new_row)
     return FiniteMetricSpace(space.points + (label,), rows)
-
-
-def _row_profile(space: FiniteMetricSpace, i: int) -> tuple[Fraction, ...]:
-    return tuple(sorted(space.dist[i][j] for j in range(space.n) if j != i))
-
-
-def are_isometric(
-    a: FiniteMetricSpace, b: FiniteMetricSpace, max_points: int = 8
-) -> Optional[dict[str, str]]:
-    """Search for a distance-preserving bijection from ``a`` onto ``b``.
-
-    Backtracks over point assignments in stored order with distance-multiset
-    pruning, so the returned witness is the lexicographically first one.
-    Sizes above ``max_points`` are refused explicitly rather than allowed to
-    crawl through factorial search space.
-    """
-    if a.n > max_points or b.n > max_points:
-        raise SizeCapError(
-            f"isometry search capped at {max_points} points "
-            f"(got {a.n} and {b.n}); raise max_points to override"
-        )
-    if a.n != b.n:
-        return None
-    n = a.n
-    if sorted(x for row in a.dist for x in row) != sorted(x for row in b.dist for x in row):
-        return None
-    prof_a = [_row_profile(a, i) for i in range(n)]
-    prof_b = [_row_profile(b, i) for i in range(n)]
-    assign: list[int] = []
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j] or prof_a[i] != prof_b[j]:
-                continue
-            if any(a.dist[i][k] != b.dist[j][assign[k]] for k in range(i)):
-                continue
-            assign.append(j)
-            used[j] = True
-            if extend(i + 1):
-                return True
-            used[j] = False
-            assign.pop()
-        return False
-
-    if not extend(0):
-        return None
-    return {a.points[i]: b.points[assign[i]] for i in range(n)}

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
+from .diametrical import _dot
 from .errors import CenterViolationError, DegenerateLabelingError
 from .rationals import RationalLike, format_rational, parse_rational
 from .spaces import FiniteMetricSpace, require_ultrametric
@@ -85,9 +86,6 @@ class LabeledTree:
                 raise ValueError(f"label of {v} must be non-negative, got {value}")
             lab.append(value)
         return cls(verts, tuple((verts[i], verts[j]) for i, j in canon), tuple(lab))
-
-    def label_of(self, v: str) -> Fraction:
-        return self.labels[self.vertices.index(v)]
 
     def adjacency(self) -> dict[str, list[str]]:
         adj: dict[str, list[str]] = {v: [] for v in self.vertices}
@@ -311,14 +309,8 @@ def tree_to_dot(tree: LabeledTree) -> str:
     Vertices and edges are emitted in lexicographic order so output is
     diff-stable.
     """
-    pos = {v: i for i, v in enumerate(tree.vertices)}
-    lines = ["graph {"]
-    for v in sorted(tree.vertices):
-        lines.append(f'  "{v}" [label="{v}:{format_rational(tree.labels[pos[v]])}"];')
-    for u, v in sorted(tuple(sorted(e)) for e in tree.edges):
-        lines.append(f'  "{u}" -- "{v}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    labels = {v: f"{v}:{format_rational(x)}" for v, x in zip(tree.vertices, tree.labels)}
+    return _dot(tree.vertices, tree.edges, labels)
 
 
 def star_to_dot(star: LabeledStarGraph) -> str:

@@ -1,8 +1,9 @@
 """Shared generators and independent oracles for the test suite.
 
 Oracles here deliberately avoid the code paths they check: the ultrametric
-enumeration oracle filters a raw product through validate(), and the
-max-metric embedding oracle tries every point ordering outright.
+enumeration oracle filters a raw product through validate(), the max-metric
+embedding oracle tries every point ordering outright, and the matching oracle
+tries every point permutation in itertools order.
 """
 
 from __future__ import annotations
@@ -93,3 +94,20 @@ def scale(space: FiniteMetricSpace, factor) -> FiniteMetricSpace:
 
 def relabel(space: FiniteMetricSpace, new_points) -> FiniteMetricSpace:
     return FiniteMetricSpace(tuple(new_points), space.dist)
+
+
+def first_matching_permutation(ma, mb):
+    """Oracle for isometry and weak similarity witnesses: the first
+    permutation p in itertools.permutations order with
+    ma[i][k] == mb[p[i]][p[k]] for all i, k, or None."""
+    n = len(ma)
+    for perm in permutations(range(n)):
+        if all(ma[i][k] == mb[perm[i]][perm[k]] for i in range(n) for k in range(n)):
+            return perm
+    return None
+
+
+def ranks(matrix):
+    """Each entry replaced by its index among the matrix's sorted distinct values."""
+    index = {v: k for k, v in enumerate(sorted({x for row in matrix for x in row}))}
+    return [[index[x] for x in row] for row in matrix]

@@ -52,6 +52,14 @@ class TestValidate:
         report = json.loads(result.stdout)
         assert report["is_metric"] is True and report["is_ultrametric"] is False
 
+    def test_points_must_be_a_json_array(self, tmp_path):
+        path = tmp_path / "string_points.json"
+        path.write_text('{"points": "ab", "dist": [["0", "1"], ["1", "0"]]}')
+        result = run_cli("validate", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:")
+
 
 class TestDiagnose:
     def test_star_space(self, files):
@@ -179,6 +187,16 @@ class TestConjecture:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["status"] == "HOLDS_ON_SAMPLE"
+
+    def test_jobs_below_one_is_usage_error(self):
+        for jobs in ("0", "-1"):
+            result = run_cli(
+                "conjecture", "--which", "k13", "--n", "4", "--alphabet", "1,2",
+                "--mode", "sample", "--count", "3", "--jobs", jobs,
+            )
+            assert result.returncode == 2, jobs
+            assert result.stdout == ""
+            assert result.stderr.startswith("error:")
 
 
 class TestContract:

@@ -186,3 +186,15 @@ class TestDot:
             '  "b" -- "c";\n'
             "}\n"
         )
+
+    def test_names_are_escaped(self):
+        g = SimpleGraph.build(('a"b', "c\\", "d\ne"), [('a"b', "c\\"), ("c\\", "d\ne")])
+        assert graph_to_dot(g) == (
+            "graph {\n"
+            '  "a\\"b";\n'
+            '  "c\\\\";\n'
+            '  "d\\ne";\n'
+            '  "a\\"b" -- "c\\\\";\n'
+            '  "c\\\\" -- "d\\ne";\n'
+            "}\n"
+        )

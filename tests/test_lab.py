@@ -177,6 +177,37 @@ class TestCampaign:
         parallel = run_campaign(spec, "equidistant", jobs=2).to_dict()
         assert sequential == parallel
 
+    def test_workers_capped_by_cpus_and_sample_count(self, monkeypatch):
+        requested = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(lab, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(lab.os, "cpu_count", lambda: 3)
+        spec = GeneratorSpec(n=4, alphabet=("1", "2"), mode="sample", seed=1, count=5)
+        sequential = run_campaign(spec, "k13", jobs=1).to_dict()
+        assert run_campaign(spec, "k13", jobs=10_000).to_dict() == sequential
+        small = GeneratorSpec(n=4, alphabet=("1", "2"), mode="sample", seed=1, count=2)
+        run_campaign(small, "k13", jobs=10_000)
+        assert requested == [3, 2]
+
+    def test_jobs_below_one_rejected(self):
+        spec = GeneratorSpec(n=4, alphabet=("1", "2"), mode="sample", seed=1, count=2)
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match="jobs"):
+                run_campaign(spec, "k13", jobs=jobs)
+
     def test_unknown_conjecture_id(self):
         with pytest.raises(ValueError):
             run_campaign(GeneratorSpec(n=4, alphabet=("1",)), "riemann")

@@ -1,5 +1,6 @@
 """Weak similarity decisions, forbidden-quad models, model matching."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,6 +17,7 @@ from starmetric import (
     W4,
     X4,
     Y4,
+    are_isometric,
     classify_forbidden,
     diametrical_graph,
     dplus_space,
@@ -26,7 +28,7 @@ from starmetric import (
     rank_matrix,
     weakly_similar,
 )
-from helpers import sample_space, scale
+from helpers import first_matching_permutation, ranks, sample_space, scale
 
 
 class TestRankMatrix:
@@ -110,6 +112,48 @@ class TestWeaklySimilar:
             sig_a = multipartite_signature(diametrical_graph(a))
             sig_b = multipartite_signature(diametrical_graph(b))
             assert sig_a.sizes == sig_b.sizes
+
+
+def _witness_order_pairs(count: int):
+    """Seeded (a, b) pairs with n <= 6: ultrametric samples with many ties and
+    plain metrics over {2, 3, 4}, against a shuffled copy, a shuffled copy
+    under the increasing map x -> x^2, or an unrelated space."""
+    rng = random.Random(2013)
+    for trial in range(count):
+        n = rng.randint(1, 6)
+        if trial % 2:
+            a = sample_space(n, seed=trial, alphabet=("1", "2", "3"))
+        else:
+            cells = {(i, j): rng.randint(2, 4) for i in range(n) for j in range(i + 1, n)}
+            a = FiniteMetricSpace(
+                [f"p{i + 1}" for i in range(n)],
+                [[0 if i == j else cells[min(i, j), max(i, j)] for j in range(n)] for i in range(n)],
+            )
+        order = list(range(n))
+        rng.shuffle(order)
+        kind = trial % 3
+        if kind == 2:
+            other = sample_space(n, seed=trial + 1, alphabet=("1", "2", "3"))
+            dist = other.dist
+        else:
+            dist = [[a.dist[i][j] ** (kind + 1) for j in order] for i in order]
+        yield a, FiniteMetricSpace([f"q{k + 1}" for k in range(n)], dist)
+
+
+class TestWitnessOrder:
+    def test_matches_first_permutation_oracle(self):
+        found_iso = found_weak = 0
+        for a, b in _witness_order_pairs(1500):
+            perm = first_matching_permutation(a.dist, b.dist)
+            expected = None if perm is None else dict(zip(a.points, (b.points[j] for j in perm)))
+            assert are_isometric(a, b) == expected, (a.dist, b.dist)
+            found_iso += expected is not None
+            perm = first_matching_permutation(ranks(a.dist), ranks(b.dist))
+            expected = None if perm is None else dict(zip(a.points, (b.points[j] for j in perm)))
+            witness = weakly_similar(a, b)
+            assert (None if witness is None else witness.mapping) == expected, (a.dist, b.dist)
+            found_weak += expected is not None
+        assert 0 < found_iso < found_weak < 1500
 
 
 class TestClassifyForbidden:

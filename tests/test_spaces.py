@@ -67,6 +67,20 @@ class TestConstruction:
         for space in (X4, S4, E4):
             assert FiniteMetricSpace.from_dict(space.to_dict()) == space
 
+    def test_json_points_and_dist_must_be_arrays(self):
+        for data in (
+            {"points": "ab", "dist": [["0", "1"], ["1", "0"]]},
+            {"points": ["a", "b"], "dist": "0110"},
+            {"points": ["a", "b"], "dist": ["01", "10"]},
+        ):
+            with pytest.raises(InvalidSpaceError):
+                FiniteMetricSpace.from_dict(data)
+
+    def test_from_pairs_names_an_unknown_label(self):
+        with pytest.raises(InvalidSpaceError, match="'zz'") as err:
+            FiniteMetricSpace.from_pairs(("a", "b"), {("a", "zz"): 1})
+        assert err.value.kind == "labels"
+
 
 class TestValidate:
     def test_canonical_spaces_are_ultrametric(self):

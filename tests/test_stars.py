@@ -213,6 +213,18 @@ class TestDot:
             "}\n"
         )
 
+    def test_labels_are_escaped(self):
+        star = LabeledStarGraph.build('h"1', 1, {"x\\": 2, "y\nz": 3})
+        assert star_to_dot(star) == (
+            "graph {\n"
+            '  "h\\"1" [label="h\\"1:1"];\n'
+            '  "x\\\\" [label="x\\\\:2"];\n'
+            '  "y\\nz" [label="y\\nz:3"];\n'
+            '  "h\\"1" -- "x\\\\";\n'
+            '  "h\\"1" -- "y\\nz";\n'
+            "}\n"
+        )
+
     def test_star_dot_matches_tree_dot(self):
         star = LabeledStarGraph.build("c", "1/2", {"b": 1, "a": 2})
         assert star_to_dot(star) == tree_to_dot(star.to_tree())
