@@ -5,7 +5,11 @@ generated by a labeled star: existence of a center (a point at least as
 close to every other point as anything else is) and absence of a four-point
 subspace whose diametrical graph is a 4-cycle.  For finite spaces these are
 provably equivalent, so :func:`diagnose` runs both and treats any
-disagreement as a fatal internal bug rather than picking a side.
+disagreement as a fatal internal bug rather than picking a side.  The
+4-cycle criterion reads off the ball tree (the single-linkage dendrogram of
+a minimum spanning tree): a quad is a 4-cycle exactly when its smallest
+enclosing ball splits it 2+2, so one exists iff some ball has two children
+of two or more points each.
 
 The module also hosts the shift transforms (subtracting or adding a constant
 to every positive distance, which preserves ultrametricity and every
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Optional, Sequence
 
 from . import similarity
@@ -26,11 +30,11 @@ from .errors import InternalCheckError
 from .rationals import RationalLike, format_rational, parse_rational
 from .spaces import (
     FiniteMetricSpace,
+    _mst_edges,
     min_positive_distance,
     require_ultrametric,
     restrict,
 )
-from .stars import center_condition_violation
 
 
 class Verdict(Enum):
@@ -65,18 +69,55 @@ class DiagnosisReport:
 
 
 def find_center(space: FiniteMetricSpace, check: bool = True) -> Optional[CenterWitness]:
-    """First point satisfying the center condition, or None.
+    """First point, in stored order, satisfying the center condition, or None.
 
-    A center x0 satisfies d(x0, x) <= d(y, x) for every x != x0 and y != x.
-    Naive cubic scan; pass ``check=False`` when the input is already known
-    to be ultrametric.
+    A center x0 satisfies d(x0, x) <= d(y, x) for every x != x0 and y != x,
+    that is, d(x0, x) is the nearest-neighbour distance of every other x.
+    With those distances computed once the search is O(n^2).  Pass
+    ``check=False`` when the input is already known to be ultrametric.
     """
     if check:
         require_ultrametric(space)
-    for candidate in space.points:
-        if center_condition_violation(space, candidate) is None:
-            return CenterWitness(candidate)
+    dist = space.dist
+    n = space.n
+    nearest = [min(row[:i] + row[i + 1:], default=None) for i, row in enumerate(dist)]
+    for c, row in enumerate(dist):
+        if all(x == c or row[x] == nearest[x] for x in range(n)):
+            return CenterWitness(space.points[c])
     return None
+
+
+def _has_forbidden_ball(space: FiniteMetricSpace) -> bool:
+    """Whether some ball has two children of two or more points each.
+
+    Balls form by union-find over the minimum spanning tree's edges, a
+    weight at a time: the components that the edges of weight w merge are
+    the children of one new ball of diameter w.  O(n^2) for the tree plus
+    O(n log n) here.
+    """
+    root = list(range(space.n))
+    size = [1] * space.n
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    edges = sorted(_mst_edges(space.dist), key=lambda edge: edge[2])
+    for _, level in groupby(edges, key=lambda edge: edge[2]):
+        level = list(level)
+        # the children merged at this level, with their sizes before merging
+        children = {r: size[r] for r in (find(x) for v, p, _ in level for x in (v, p))}
+        for v, p, _ in level:
+            a, b = find(v), find(p)
+            if size[a] < size[b]:
+                a, b = b, a
+            root[b] = a
+            size[a] += size[b]
+        balls = [find(c) for c, k in children.items() if k >= 2]
+        if len(balls) != len(set(balls)):
+            return True
+    return False
 
 
 def _quad_is_c4(space: FiniteMetricSpace, quad: Sequence[int]) -> bool:
@@ -122,22 +163,32 @@ def forbidden_scan(
 def diagnose(space: FiniteMetricSpace, check: bool = True) -> DiagnosisReport:
     """Run both membership criteria and assert they agree.
 
-    For finite ultrametric spaces a center exists iff no forbidden quad
-    does; disagreement can only mean an implementation bug and is raised
-    loudly instead of being resolved silently.
+    The center route (:func:`find_center`) and the ball-tree route (a ball
+    with two non-singleton children) are both O(n^2).  For finite
+    ultrametric spaces a center exists iff no such ball does; disagreement
+    can only mean an implementation bug and is raised loudly instead of
+    being resolved silently.  Only a FORBIDDEN verdict runs the quartic
+    :func:`forbidden_scan`, for the lexicographically first witness quad,
+    and a scan that finds none is a bug as well.
     """
     if check:
         require_ultrametric(space)
     center = find_center(space, check=False)
-    forbidden = forbidden_scan(space, check=False)
-    if (center is None) != (forbidden is not None):
+    forbidden = _has_forbidden_ball(space)
+    if (center is None) != forbidden:
         raise InternalCheckError(
             "membership criteria disagree: "
-            f"center={center}, forbidden={forbidden}; this is a bug"
+            f"center={center}, forbidden ball={forbidden}; this is a bug"
         )
     if center is not None:
         return DiagnosisReport(Verdict.US, center, None)
-    return DiagnosisReport(Verdict.FORBIDDEN, None, forbidden)
+    witness = forbidden_scan(space, check=False)
+    if witness is None:
+        raise InternalCheckError(
+            "the ball tree has a ball with two non-singleton children but "
+            "forbidden_scan found no 4-cycle quad; this is a bug"
+        )
+    return DiagnosisReport(Verdict.FORBIDDEN, None, witness)
 
 
 def shift(space: FiniteMetricSpace, delta: RationalLike, check: bool = True) -> FiniteMetricSpace:

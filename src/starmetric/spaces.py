@@ -186,13 +186,59 @@ class Spectrum:
         return self.values[1:]
 
 
+def _mst_edges(dist: Sequence[Sequence[Fraction]]):
+    """Prim's minimum spanning tree of a complete distance matrix.
+
+    Yields ``(vertex, parent, weight)`` as each vertex joins the tree that
+    grows from vertex 0: the outside vertex nearest the tree, the first in
+    stored order on ties, joins through the tree vertex that first reached
+    that distance.  O(n^2) comparisons; a generator, so callers can stop at
+    the first vertex they reject.
+    """
+    n = len(dist)
+    key = list(dist[0])
+    parent = [0] * n
+    outside = list(range(1, n))
+    while outside:
+        v = min(outside, key=key.__getitem__)
+        outside.remove(v)
+        yield v, parent[v], key[v]
+        row = dist[v]
+        for u in outside:
+            if row[u] < key[u]:
+                key[u] = row[u]
+                parent[u] = v
+
+
+def _equals_subdominant(dist: Sequence[Sequence[Fraction]]) -> bool:
+    """Whether ``dist`` equals its subdominant ultrametric, the path maximum
+    over a minimum spanning tree, which holds exactly for ultrametrics.
+
+    Checked as vertices join the tree: every pair already inside holds the
+    path maximum, so v joining through parent p at weight w needs
+    d(v, u) == max(w, d(p, u)) for each u inside.  O(n^2).
+    """
+    tree = [0]
+    for v, p, w in _mst_edges(dist):
+        row_v, row_p = dist[v], dist[p]
+        for u in tree:
+            if row_v[u] != (w if w >= row_p[u] else row_p[u]):
+                return False
+        tree.append(v)
+    return True
+
+
 def validate(space: FiniteMetricSpace) -> UltraDiagnosis:
     """Check the strong triangle inequality over every ordered triple.
 
-    Returns the first violating triple in lexicographic point order, if any.
-    ``is_metric`` reports the ordinary triangle inequality; an ultrametric
+    An ultrametric space is accepted in O(n^2) by comparing it with its
+    subdominant ultrametric.  Any other space pays for the cubic scan, which
+    returns the first violating triple in lexicographic point order and
+    checks the ordinary triangle inequality for ``is_metric``; an ultrametric
     space is always metric, so both flags are true in the good case.
     """
+    if _equals_subdominant(space.dist):
+        return UltraDiagnosis(is_metric=True, is_ultrametric=True, violation=None)
     dist = space.dist
     points = space.points
     n = len(points)
@@ -216,14 +262,16 @@ def validate(space: FiniteMetricSpace) -> UltraDiagnosis:
         if violation:
             break
     if violation is None:
-        return UltraDiagnosis(is_metric=True, is_ultrametric=True, violation=None)
+        raise InternalCheckError(
+            "the spanning-tree check rejected a space with no violating triple; this is a bug"
+        )
+    # d is symmetric, so the triple (c, b, a) repeats the inequality of (a, b, c)
     is_metric = all(
         dist[a][c] <= dist[a][b] + dist[b][c]
         for a in range(n)
+        for c in range(a + 1, n)
         for b in range(n)
-        if b != a
-        for c in range(n)
-        if c != a and c != b
+        if b != a and b != c
     )
     return UltraDiagnosis(is_metric=is_metric, is_ultrametric=False, violation=violation)
 

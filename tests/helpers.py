@@ -1,9 +1,9 @@
 """Shared generators and independent oracles for the test suite.
 
 Oracles here deliberately avoid the code paths they check: the ultrametric
-enumeration oracle filters a raw product through validate(), the max-metric
-embedding oracle tries every point ordering outright, and the matching oracle
-tries every point permutation in itertools order.
+enumeration oracle filters a raw product through its own cubic triple scan,
+the max-metric embedding oracle tries every point ordering outright, and the
+matching oracle tries every point permutation in itertools order.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from starmetric import (
     FiniteMetricSpace,
     GeneratorSpec,
     LabeledStarGraph,
+    UltraDiagnosis,
+    Violation,
     sample_dendrogram,
-    validate,
 )
 
 DEFAULT_ALPHABET = ("1", "2", "3", "4")
@@ -42,7 +43,8 @@ def random_star(rng: random.Random, max_leaves: int = 12) -> LabeledStarGraph:
 
 
 def brute_force_ultrametrics(n: int, alphabet) -> list[FiniteMetricSpace]:
-    """Oracle enumeration: every raw symmetric matrix, filtered by validate()."""
+    """Oracle enumeration: every raw symmetric matrix, filtered by the cubic
+    triple scan of :func:`validate_oracle`."""
     values = [Fraction(v) for v in alphabet]
     labels = tuple(f"p{i + 1}" for i in range(n))
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -52,9 +54,24 @@ def brute_force_ultrametrics(n: int, alphabet) -> list[FiniteMetricSpace]:
         for (i, j), v in zip(cells, assignment):
             rows[i][j] = rows[j][i] = v
         space = FiniteMetricSpace(labels, rows)
-        if validate(space).is_ultrametric:
+        if validate_oracle(space).is_ultrametric:
             found.append(space)
     return found
+
+
+def validate_oracle(space: FiniteMetricSpace) -> UltraDiagnosis:
+    """Cubic reference for validate(): the first ordered triple (a, b, c), in
+    itertools.permutations order, with d(a, c) > max(d(a, b), d(b, c)), and
+    the ordinary triangle inequality over every ordered triple."""
+    dist, points = space.dist, space.points
+    triples = list(permutations(range(space.n), 3))
+    for a, b, c in triples:
+        bound = max(dist[a][b], dist[b][c])
+        if dist[a][c] > bound:
+            is_metric = all(dist[x][z] <= dist[x][y] + dist[y][z] for x, y, z in triples)
+            violation = Violation(points[a], points[b], points[c], dist[a][c], bound)
+            return UltraDiagnosis(is_metric=is_metric, is_ultrametric=False, violation=violation)
+    return UltraDiagnosis(is_metric=True, is_ultrametric=True, violation=None)
 
 
 def embeds_oracle(space: FiniteMetricSpace) -> bool:

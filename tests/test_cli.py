@@ -61,6 +61,27 @@ class TestValidate:
         assert result.stderr.startswith("error:")
 
 
+class TestHostileNumbers:
+    # the number grammar is ASCII only, without underscores, and bounds
+    # exponents, so none of these reaches Fraction
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("1_0", "not an exact rational: '1_0'"),
+            ("\u0661", "not an exact rational: '\u0661'"),
+            ("1e500000", "exponent 500000 exceeds the limit"),
+        ],
+        ids=["underscore", "arabic-indic-digit", "huge-exponent"],
+    )
+    def test_rejected_with_usage_error(self, tmp_path, entry, message):
+        path = tmp_path / "hostile.csv"
+        path.write_text(f"a,b\n0,{entry}\n{entry},0\n", encoding="utf-8")
+        result = run_cli("validate", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert message in result.stderr
+
+
 class TestDiagnose:
     def test_star_space(self, files):
         result = run_cli("diagnose", files["S4"])

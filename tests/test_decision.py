@@ -11,6 +11,7 @@ from starmetric import (
     FiniteMetricSpace,
     FourPointClass,
     GeneratorSpec,
+    LabeledStarGraph,
     NotUltrametricError,
     S4,
     Verdict,
@@ -31,11 +32,30 @@ from starmetric import (
     restrict,
     shift,
     spectrum,
+    star_from_center,
     star_metric,
     unshift,
     validate,
 )
+from starmetric.decision import _has_forbidden_ball
+from starmetric.stars import center_condition_violation
 from helpers import embeds_oracle, random_star, sample_space
+
+
+def exhaustive_n5():
+    return list(enumerate_ultrametrics(GeneratorSpec(n=5, alphabet=("1", "2", "3", "4"))))
+
+
+def seeded_n9(count=300):
+    return [sample_space(n=9, seed=6000 + k) for k in range(count)]
+
+
+def first_center_oracle(space):
+    """The first point passing the per-candidate center condition check."""
+    for p in space.points:
+        if center_condition_violation(space, p) is None:
+            return p
+    return None
 
 
 class TestFindCenter:
@@ -55,6 +75,20 @@ class TestFindCenter:
         bad = FiniteMetricSpace(("a", "b", "c"), [[0, 1, 3], [1, 0, 1], [3, 1, 0]])
         with pytest.raises(NotUltrametricError):
             find_center(bad)
+
+    def test_agrees_with_the_per_candidate_oracle(self):
+        rng = random.Random(59)
+        stars = [star_metric(random_star(rng, max_leaves=8)) for _ in range(100)]
+        spaces = exhaustive_n5() + seeded_n9() + stars
+        centers = 0
+        for space in spaces:
+            # shuffled point order moves the first center around
+            space = restrict(space, rng.sample(space.points, space.n))
+            found = find_center(space, check=False)
+            expected = first_center_oracle(space)
+            assert (found.center if found else None) == expected
+            centers += expected is not None
+        assert 500 < centers < len(spaces)
 
 
 class TestForbiddenScan:
@@ -88,6 +122,26 @@ class TestForbiddenScan:
             assert (forbidden_scan(space, check=False) is not None) == (sizes == (2, 2))
 
 
+class TestBallTree:
+    def test_agrees_with_forbidden_scan_exhaustively_at_n5(self):
+        spaces = exhaustive_n5()
+        assert len(spaces) == 1304
+        forbidden = 0
+        for space in spaces:
+            expected = forbidden_scan(space, check=False) is not None
+            assert _has_forbidden_ball(space) == expected
+            forbidden += expected
+        assert 0 < forbidden < len(spaces)
+
+    def test_agrees_with_forbidden_scan_on_seeded_n9_samples(self):
+        forbidden = 0
+        for space in seeded_n9():
+            expected = forbidden_scan(space, check=False) is not None
+            assert _has_forbidden_ball(space) == expected
+            forbidden += expected
+        assert 0 < forbidden < 300
+
+
 class TestDiagnose:
     def test_s4_is_a_star_space(self):
         report = diagnose(S4)
@@ -112,6 +166,43 @@ class TestDiagnose:
             space = sample_space(n=(seed % 4) + 4, seed=1000 + seed)
             report = diagnose(space)  # raises InternalCheckError on disagreement
             assert report.verdict in (Verdict.US, Verdict.FORBIDDEN)
+
+    def test_256_point_star_with_the_hub_last(self):
+        # distinct leaf labels above the hub label 1: a leaf is a center
+        # exactly when its label is the smallest, so the first center is
+        # that leaf, placed just before the hub, and every earlier point
+        # must be rejected first
+        rng = random.Random(61)
+        labels = rng.sample(range(4, 2000), 255)
+        smallest = labels.index(min(labels))
+        leaves = {f"v{k}": Fraction(value, 3) for k, value in enumerate(labels)}
+        order = [f"v{k}" for k in range(255) if k != smallest] + [f"v{smallest}", "hub"]
+        space = star_metric(LabeledStarGraph.build("hub", 1, leaves, order=order))
+        report = diagnose(space)
+        assert report.verdict is Verdict.US
+        assert report.center.center == f"v{smallest}" == first_center_oracle(space)
+        assert report.forbidden is None
+        assert star_metric(star_from_center(space, report.center.center)) == space
+
+    def test_256_point_forbidden_space(self):
+        # two 128-point max-metric balls at distance 1000: the first 4-cycle
+        # quad in lexicographic order takes the first two points of each
+        a = [f"a{i}" for i in range(1, 129)]
+        b = [f"b{i}" for i in range(1, 129)]
+        pairs = {}
+        for i in range(128):
+            for j in range(i + 1, 128):
+                pairs[(a[i], a[j])] = j + 1
+                pairs[(b[i], b[j])] = Fraction(2 * j + 3, 2)
+            for j in range(128):
+                pairs[(a[i], b[j])] = 1000
+        space = FiniteMetricSpace.from_pairs(a + b, pairs)
+        report = diagnose(space)
+        assert report.verdict is Verdict.FORBIDDEN
+        assert report.center is None
+        assert report.forbidden.quad == ("a1", "a2", "b1", "b2")
+        assert report.forbidden.signature == (2, 2)
+        assert report.forbidden.model == "X4"
 
 
 class TestShift:

@@ -33,6 +33,19 @@ class TestSpaceFiles:
         space = parse_space_text("a,b\n0,0.5\n0.5,0\n", kind="csv")
         assert space.d("a", "b") == Fraction(1, 2)
 
+    def test_number_grammar_keeps_every_exact_form(self):
+        from starmetric.rationals import MAX_EXPONENT, parse_rational
+
+        for text, value in (
+            ("3", 3), ("+4", 4), ("-1/2", Fraction(-1, 2)), (".5", Fraction(1, 2)),
+            ("5.", 5), ("2.5E-3", Fraction(1, 400)), (" 7 ", 7),
+            (f"1e{MAX_EXPONENT}", 10**MAX_EXPONENT),
+        ):
+            assert parse_rational(text) == value
+        for text in (f"1e{MAX_EXPONENT + 1}", "1" * 1001, "1/0", "1/2e3", "0x10", ""):
+            with pytest.raises(ValueError):
+                parse_rational(text)
+
     def test_asymmetric_csv_names_the_cell_pair(self):
         with pytest.raises(InvalidSpaceError) as err:
             parse_space_text("a,b\n0,1\n2,0\n", kind="csv")

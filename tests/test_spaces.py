@@ -23,7 +23,7 @@ from starmetric import (
     swap_isometry,
     validate,
 )
-from helpers import relabel, sample_space
+from helpers import relabel, sample_space, validate_oracle
 
 
 def quad(v12, v13, v14, v23, v24, v34, labels=("a", "b", "c", "d")):
@@ -109,6 +109,33 @@ class TestValidate:
         )
         report = validate(euclideanish)
         assert report.is_metric and not report.is_ultrametric
+
+    def test_agrees_with_the_cubic_oracle_on_random_matrices(self):
+        # the spanning-tree accept path and the cubic reject path together
+        # must reproduce the whole report, first violating triple included
+        rng = random.Random(53)
+        kinds = {"ultrametric": 0, "metric only": 0, "not metric": 0}
+        for i in range(3000):
+            n = rng.randint(1, 6)
+            if i % 3 == 0:
+                base = sample_space(n=n, seed=5000 + i)
+                space = restrict(base, rng.sample(base.points, n))
+            else:
+                values = (2, 3, 4) if i % 3 == 1 else (Fraction(1, 2), 1, 2, 5)
+                rows = [[Fraction(0)] * n for _ in range(n)]
+                for a in range(n):
+                    for b in range(a + 1, n):
+                        rows[a][b] = rows[b][a] = Fraction(rng.choice(values))
+                space = FiniteMetricSpace([f"p{k}" for k in range(n)], rows)
+            expected = validate_oracle(space)
+            assert validate(space) == expected
+            if expected.is_ultrametric:
+                kinds["ultrametric"] += 1
+            elif expected.is_metric:
+                kinds["metric only"] += 1
+            else:
+                kinds["not metric"] += 1
+        assert min(kinds.values()) >= 300, kinds
 
 
 class TestSpectrum:
