@@ -60,7 +60,6 @@ from .similarity import (
     are_isometric,
     classify_forbidden,
     model_match,
-    rank_matrix,
     weakly_similar,
 )
 from .spaces import (
@@ -71,6 +70,7 @@ from .spaces import (
     adjoin_near,
     min_pair,
     min_positive_distance,
+    rank_matrix,
     restrict,
     spectrum,
     swap_isometry,

@@ -68,16 +68,14 @@ class DiagnosisReport:
     forbidden: Optional[ForbiddenWitness]
 
 
-def find_center(space: FiniteMetricSpace, check: bool = True) -> Optional[CenterWitness]:
+def find_center(space: FiniteMetricSpace) -> Optional[CenterWitness]:
     """First point, in stored order, satisfying the center condition, or None.
 
     A center x0 satisfies d(x0, x) <= d(y, x) for every x != x0 and y != x,
     that is, d(x0, x) is the nearest-neighbour distance of every other x.
-    With those distances computed once the search is O(n^2).  Pass
-    ``check=False`` when the input is already known to be ultrametric.
+    With those distances computed once the search is O(n^2).
     """
-    if check:
-        require_ultrametric(space)
+    require_ultrametric(space)
     dist = space.dist
     n = space.n
     nearest = [min(row[:i] + row[i + 1:], default=None) for i, row in enumerate(dist)]
@@ -137,17 +135,14 @@ def _quad_is_c4(space: FiniteMetricSpace, quad: Sequence[int]) -> bool:
     return a != c and a != e and b != c and b != e
 
 
-def forbidden_scan(
-    space: FiniteMetricSpace, check: bool = True
-) -> Optional[ForbiddenWitness]:
+def forbidden_scan(space: FiniteMetricSpace) -> Optional[ForbiddenWitness]:
     """First four-point subset whose diametrical graph is a 4-cycle.
 
     Subsets are visited in lexicographic point order, exhaustively over all
     C(n, 4) of them.  The witness carries the model classification of the
     offending quad.  Spaces with fewer than four points trivially pass.
     """
-    if check:
-        require_ultrametric(space)
+    require_ultrametric(space)
     n = space.n
     if n < 4:
         return None
@@ -160,7 +155,7 @@ def forbidden_scan(
     return None
 
 
-def diagnose(space: FiniteMetricSpace, check: bool = True) -> DiagnosisReport:
+def diagnose(space: FiniteMetricSpace) -> DiagnosisReport:
     """Run both membership criteria and assert they agree.
 
     The center route (:func:`find_center`) and the ball-tree route (a ball
@@ -171,9 +166,8 @@ def diagnose(space: FiniteMetricSpace, check: bool = True) -> DiagnosisReport:
     :func:`forbidden_scan`, for the lexicographically first witness quad,
     and a scan that finds none is a bug as well.
     """
-    if check:
-        require_ultrametric(space)
-    center = find_center(space, check=False)
+    require_ultrametric(space)
+    center = find_center(space)
     forbidden = _has_forbidden_ball(space)
     if (center is None) != forbidden:
         raise InternalCheckError(
@@ -182,7 +176,7 @@ def diagnose(space: FiniteMetricSpace, check: bool = True) -> DiagnosisReport:
         )
     if center is not None:
         return DiagnosisReport(Verdict.US, center, None)
-    witness = forbidden_scan(space, check=False)
+    witness = forbidden_scan(space)
     if witness is None:
         raise InternalCheckError(
             "the ball tree has a ball with two non-singleton children but "
@@ -191,7 +185,7 @@ def diagnose(space: FiniteMetricSpace, check: bool = True) -> DiagnosisReport:
     return DiagnosisReport(Verdict.FORBIDDEN, None, witness)
 
 
-def shift(space: FiniteMetricSpace, delta: RationalLike, check: bool = True) -> FiniteMetricSpace:
+def shift(space: FiniteMetricSpace, delta: RationalLike) -> FiniteMetricSpace:
     """Subtract ``delta`` from every positive distance.
 
     Requires 0 <= delta < min D0 so distances stay positive.  The result is
@@ -201,8 +195,7 @@ def shift(space: FiniteMetricSpace, delta: RationalLike, check: bool = True) -> 
     delta = parse_rational(delta)
     if delta < 0:
         raise ValueError(f"delta = {delta} must be non-negative")
-    if check:
-        require_ultrametric(space)
+    require_ultrametric(space)
     if delta == 0:
         return space
     floor = min_positive_distance(space)
@@ -211,13 +204,12 @@ def shift(space: FiniteMetricSpace, delta: RationalLike, check: bool = True) -> 
     return _offset(space, -delta)
 
 
-def unshift(space: FiniteMetricSpace, delta: RationalLike, check: bool = True) -> FiniteMetricSpace:
+def unshift(space: FiniteMetricSpace, delta: RationalLike) -> FiniteMetricSpace:
     """Add ``delta`` to every positive distance; exact inverse of :func:`shift`."""
     delta = parse_rational(delta)
     if delta < 0:
         raise ValueError(f"delta = {delta} must be non-negative")
-    if check:
-        require_ultrametric(space)
+    require_ultrametric(space)
     if delta == 0:
         return space
     return _offset(space, delta)
@@ -258,9 +250,7 @@ def dplus_space(values: Sequence[RationalLike]) -> FiniteMetricSpace:
     return FiniteMetricSpace(labels, rows)
 
 
-def embeds_in_dplus(
-    space: FiniteMetricSpace, check: bool = True
-) -> Optional[dict[str, Fraction]]:
+def embeds_in_dplus(space: FiniteMetricSpace) -> Optional[dict[str, Fraction]]:
     """Injective weights w with d(x, y) = max(w(x), w(y)), or None.
 
     Decision procedure: each point's candidate weight is its row minimum.
@@ -271,8 +261,7 @@ def embeds_in_dplus(
     second-smallest candidate (halving again on any collision, which cannot
     actually occur), and the max equation is verified before returning.
     """
-    if check:
-        require_ultrametric(space)
+    require_ultrametric(space)
     n = space.n
     if n == 1:
         return {space.points[0]: Fraction(1)}

@@ -60,6 +60,8 @@ class GeneratorSpec:
             raise ValueError("n must be at least 1")
         if self.mode not in ("exhaustive", "sample"):
             raise ValueError(f"unknown generator mode {self.mode!r}")
+        if self.count < 0:
+            raise ValueError(f"sample count must be non-negative, got {self.count}")
         alphabet = tuple(parse_rational(v) for v in self.alphabet)
         for v in alphabet:
             if v <= 0:
@@ -207,7 +209,7 @@ class EquidistantCheck:
         return self.all_equal == self.all_quads_k1111
 
 
-def check_equidistant(space: FiniteMetricSpace, check: bool = True) -> EquidistantCheck:
+def check_equidistant(space: FiniteMetricSpace) -> EquidistantCheck:
     """Equidistance versus all-quads-K1111, evaluated independently.
 
     The two sides are provably equivalent for ultrametric spaces, so a
@@ -215,8 +217,7 @@ def check_equidistant(space: FiniteMetricSpace, check: bool = True) -> Equidista
     """
     if space.n < 4:
         raise ValueError("equidistance check needs at least four points")
-    if check:
-        require_ultrametric(space)
+    require_ultrametric(space)
     n = space.n
     dist = space.dist
     reference = dist[0][1]
@@ -247,12 +248,11 @@ class K112Check:
         return True
 
 
-def check_k112_conjecture(space: FiniteMetricSpace, check: bool = True) -> K112Check:
+def check_k112_conjecture(space: FiniteMetricSpace) -> K112Check:
     """Per-quad biconditional: classifies K112 iff weakly similar to W4."""
     if space.n < 4:
         raise ValueError("K112 conjecture check needs at least four points")
-    if check:
-        require_ultrametric(space)
+    require_ultrametric(space)
     n = space.n
     quad_k112 = []
     quad_w4 = []
@@ -286,12 +286,11 @@ class K13Check:
         return not self.disagreements
 
 
-def check_k13_conjecture(space: FiniteMetricSpace, check: bool = True) -> K13Check:
+def check_k13_conjecture(space: FiniteMetricSpace) -> K13Check:
     """Evaluate the three K13 statements independently and compare them."""
     if space.n < 4:
         raise ValueError("K13 conjecture check needs at least four points")
-    if check:
-        require_ultrametric(space)
+    require_ultrametric(space)
     n = space.n
     all_k13 = True
     any_z4 = False
@@ -306,7 +305,7 @@ def check_k13_conjecture(space: FiniteMetricSpace, check: bool = True) -> K13Che
             all_s4 = False
     i = all_k13 and not any_z4
     ii = all_s4
-    iii = embeds_in_dplus(space, check=False) is not None
+    iii = embeds_in_dplus(space) is not None
     truth = {"i": i, "ii": ii, "iii": iii}
     names = ("i", "ii", "iii")
     disagreements = tuple(
@@ -361,7 +360,7 @@ class ConjectureReport:
 def evaluate_conjecture(which: str, space: FiniteMetricSpace) -> Optional[str]:
     """Explanation of why ``space`` violates the conjecture, or None."""
     if which == "equidistant":
-        result = check_equidistant(space, check=False)
+        result = check_equidistant(space)
         if not result.agree:
             return (
                 f"equidistant={result.all_equal} but "
@@ -369,7 +368,7 @@ def evaluate_conjecture(which: str, space: FiniteMetricSpace) -> Optional[str]:
             )
         return None
     if which == "k112":
-        result = check_k112_conjecture(space, check=False)
+        result = check_k112_conjecture(space)
         if result.biconditional_violations:
             quad = result.biconditional_violations[0]
             return f"quad {list(quad)} breaks the K112 <-> W4-similarity biconditional"
@@ -380,7 +379,7 @@ def evaluate_conjecture(which: str, space: FiniteMetricSpace) -> Optional[str]:
             return "whole-space W4 similarity disagrees with the per-quad statement"
         return None
     if which == "k13":
-        result = check_k13_conjecture(space, check=False)
+        result = check_k13_conjecture(space)
         if result.disagreements:
             vec = result.truth_vector
             return (

@@ -19,19 +19,7 @@ from .diametrical import diametrical_graph, multipartite_signature
 from .errors import InternalCheckError, SizeCapError
 from .models import MODELS, X4, Y4
 from .rationals import format_rational
-from .spaces import FiniteMetricSpace, require_ultrametric, spectrum
-
-RankMatrix = tuple[tuple[int, ...], ...]
-
-
-def rank_matrix(space: FiniteMetricSpace) -> RankMatrix:
-    """Each distance replaced by its index in the sorted spectrum (0 = diagonal)."""
-    return _ranks(space, spectrum(space).values)
-
-
-def _ranks(space: FiniteMetricSpace, values: tuple[Fraction, ...]) -> RankMatrix:
-    index = {value: k for k, value in enumerate(values)}
-    return tuple(tuple(index[x] for x in row) for row in space.dist)
+from .spaces import FiniteMetricSpace, RankMatrix, rank_matrix, require_ultrametric, spectrum
 
 
 def _match_ranks(ra: RankMatrix, rb: RankMatrix) -> Optional[list[int]]:
@@ -84,10 +72,9 @@ def are_isometric(
         )
     if a.n != b.n:
         return None
-    values = spectrum(a).values
-    if spectrum(b).values != values:
+    if spectrum(a).values != spectrum(b).values:
         return None
-    assign = _match_ranks(_ranks(a, values), _ranks(b, values))
+    assign = _match_ranks(rank_matrix(a), rank_matrix(b))
     if assign is None:
         return None
     return {a.points[i]: b.points[j] for i, j in enumerate(assign)}
@@ -156,7 +143,7 @@ def weakly_similar(
     spec_b = spectrum(b).values
     if len(spec_a) != len(spec_b):
         return None
-    assign = _match_ranks(_ranks(a, spec_a), _ranks(b, spec_b))
+    assign = _match_ranks(rank_matrix(a), rank_matrix(b))
     if assign is None:
         return None
     witness = WeakSimilarityWitness(

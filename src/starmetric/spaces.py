@@ -7,8 +7,10 @@ off-diagonal entries); the triangle inequalities are checked by
 :func:`validate`, which distinguishes metric from ultrametric input and
 reports the first violating triple.
 
-Everything here is immutable and purely functional: operations return new
-values and never mutate their inputs, so concurrent use needs no locking.
+Spaces are immutable and operations return new values.  The order data
+derived from a space (its first strong-triangle violation, its spectrum and
+its rank matrix) is computed once per space, on first use; it is a pure
+function of the immutable matrix, so concurrent use still needs no locks.
 Tie-breaking is always lexicographic in the stored point order, making every
 operation deterministic.
 """
@@ -26,7 +28,7 @@ from .rationals import RationalLike, format_rational, parse_rational
 class FiniteMetricSpace:
     """Ordered point labels plus an exact symmetric distance matrix."""
 
-    __slots__ = ("points", "dist", "_pos")
+    __slots__ = ("points", "dist", "_pos", "_violation", "_spectrum", "_rank_matrix")
 
     def __init__(self, points: Sequence[str], dist: Sequence[Sequence[RationalLike]]):
         pts = tuple(points)
@@ -66,6 +68,9 @@ class FiniteMetricSpace:
         self.points = pts
         self.dist = rows
         self._pos = {p: i for i, p in enumerate(pts)}
+        # order data memoised on first use; equality and hashing ignore it
+        self._violation = False  # not yet checked, then None or a Violation
+        self._spectrum = self._rank_matrix = None
 
     @property
     def n(self) -> int:
@@ -228,21 +233,18 @@ def _equals_subdominant(dist: Sequence[Sequence[Fraction]]) -> bool:
     return True
 
 
-def validate(space: FiniteMetricSpace) -> UltraDiagnosis:
-    """Check the strong triangle inequality over every ordered triple.
+def _first_violation(space: FiniteMetricSpace) -> Optional[Violation]:
+    """The first strong-triangle violation, or None, computed once per space:
+    the O(n^2) subdominant check accepts, the cubic scan names the triple."""
+    if space._violation is False:
+        space._violation = None if _equals_subdominant(space.dist) else _scan_violation(space)
+    return space._violation
 
-    An ultrametric space is accepted in O(n^2) by comparing it with its
-    subdominant ultrametric.  Any other space pays for the cubic scan, which
-    returns the first violating triple in lexicographic point order and
-    checks the ordinary triangle inequality for ``is_metric``; an ultrametric
-    space is always metric, so both flags are true in the good case.
-    """
-    if _equals_subdominant(space.dist):
-        return UltraDiagnosis(is_metric=True, is_ultrametric=True, violation=None)
-    dist = space.dist
-    points = space.points
+
+def _scan_violation(space: FiniteMetricSpace) -> Violation:
+    """The first ordered triple (a, b, c) in point order with d(a, c) > max(d(a, b), d(b, c))."""
+    dist, points = space.dist, space.points
     n = len(points)
-    violation = None
     for a in range(n):
         row_a = dist[a]
         for b in range(n):
@@ -255,16 +257,25 @@ def validate(space: FiniteMetricSpace) -> UltraDiagnosis:
                     continue
                 bound = dab if dab >= row_b[c] else row_b[c]
                 if row_a[c] > bound:
-                    violation = Violation(points[a], points[b], points[c], row_a[c], bound)
-                    break
-            if violation:
-                break
-        if violation:
-            break
+                    return Violation(points[a], points[b], points[c], row_a[c], bound)
+    raise InternalCheckError(
+        "the spanning-tree check rejected a space with no violating triple; this is a bug"
+    )
+
+
+def validate(space: FiniteMetricSpace) -> UltraDiagnosis:
+    """Check the strong triangle inequality over every ordered triple.
+
+    An ultrametric space is accepted in O(n^2) by comparing it with its
+    subdominant ultrametric.  Any other space pays for the cubic scan, which
+    returns the first violating triple in lexicographic point order, and for
+    the cubic check of the ordinary triangle inequality for ``is_metric``; an
+    ultrametric space is always metric, so both flags are true in that case.
+    """
+    violation = _first_violation(space)
     if violation is None:
-        raise InternalCheckError(
-            "the spanning-tree check rejected a space with no violating triple; this is a bug"
-        )
+        return UltraDiagnosis(is_metric=True, is_ultrametric=True, violation=None)
+    dist, n = space.dist, space.n
     # d is symmetric, so the triple (c, b, a) repeats the inequality of (a, b, c)
     is_metric = all(
         dist[a][c] <= dist[a][b] + dist[b][c]
@@ -278,20 +289,29 @@ def validate(space: FiniteMetricSpace) -> UltraDiagnosis:
 
 def require_ultrametric(space: FiniteMetricSpace) -> None:
     """Raise :class:`NotUltrametricError` unless the space is ultrametric."""
-    diag = validate(space)
-    if not diag.is_ultrametric:
-        raise NotUltrametricError(diag.violation)
+    violation = _first_violation(space)
+    if violation is not None:
+        raise NotUltrametricError(violation)
 
 
 def spectrum(space: FiniteMetricSpace) -> Spectrum:
-    """Sorted distinct distances including 0; the diameter is the last entry."""
-    seen = {Fraction(0)}
-    dist = space.dist
-    n = space.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            seen.add(dist[i][j])
-    return Spectrum(tuple(sorted(seen)))
+    """Sorted distinct distances including 0 (the diameter last), computed once per space."""
+    if space._spectrum is None:
+        dist, n = space.dist, space.n
+        seen = {dist[i][j] for i in range(n) for j in range(i + 1, n)}
+        space._spectrum = Spectrum(tuple(sorted(seen | {Fraction(0)})))
+    return space._spectrum
+
+
+RankMatrix = tuple[tuple[int, ...], ...]
+
+
+def rank_matrix(space: FiniteMetricSpace) -> RankMatrix:
+    """Each distance's index in the sorted spectrum (0 = diagonal), computed once per space."""
+    if space._rank_matrix is None:
+        index = {value: k for k, value in enumerate(spectrum(space).values)}
+        space._rank_matrix = tuple(tuple(index[x] for x in row) for row in space.dist)
+    return space._rank_matrix
 
 
 def min_positive_distance(space: FiniteMetricSpace) -> Optional[Fraction]:

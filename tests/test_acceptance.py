@@ -78,8 +78,8 @@ def test_criterion_1_main_theorem_agreement():
         exhaustive_count = 0
         for space in enumerate_ultrametrics(EXHAUSTIVE_SPEC):
             exhaustive_count += 1
-            center = find_center(space, check=False)
-            forbidden = forbidden_scan(space, check=False)
+            center = find_center(space)
+            forbidden = forbidden_scan(space)
             assert (center is not None) == (forbidden is None), space.to_dict()
         exhaustive_time = time.perf_counter() - start
         assert exhaustive_count == 60
@@ -91,8 +91,8 @@ def test_criterion_1_main_theorem_agreement():
             for index in range(spec.count):
                 space = sample_dendrogram(spec, index)
                 assert validate(space).is_ultrametric
-                center = find_center(space, check=False)
-                forbidden = forbidden_scan(space, check=False)
+                center = find_center(space)
+                forbidden = forbidden_scan(space)
                 assert (center is not None) == (forbidden is None), space.to_dict()
                 sampled += 1
         sampled_time = time.perf_counter() - start
@@ -123,7 +123,7 @@ def test_criterion_3_star_round_trip():
             star = random_star(rng, max_leaves=12)
             space = star_metric(star)
             assert validate(space).is_ultrametric, trial
-            report = diagnose(space, check=False)
+            report = diagnose(space)
             assert report.verdict is Verdict.US, trial
             rebuilt = star_from_center(space, report.center.center)
             assert star_metric(rebuilt) == space, trial
@@ -138,9 +138,9 @@ def test_criterion_4_shift_unshift():
             )
             space = sample_dendrogram(spec, trial)
             delta = min_positive_distance(space) * Fraction(trial % 4, 5)
-            shifted = shift(space, delta, check=False)
+            shifted = shift(space, delta)
             assert validate(shifted).is_ultrametric, trial
-            assert unshift(shifted, delta, check=False) == space, trial
+            assert unshift(shifted, delta) == space, trial
             for quad in combinations(space.points, 4):
                 before = classify_four_point(restrict(space, list(quad)))
                 after = classify_four_point(restrict(shifted, list(quad)))
@@ -153,11 +153,11 @@ def test_criterion_5_adjunction_safety():
         for trial in range(1000):
             star = random_star(rng, max_leaves=6)
             space = star_metric(star)
-            assert forbidden_scan(space, check=False) is None, trial
-            anchor = find_center(space, check=False).center
+            assert forbidden_scan(space) is None, trial
+            anchor = find_center(space).center
             eps = min_positive_distance(space) / rng.randint(2, 5)
             grown = adjoin_near(space, anchor, eps, label="new")
-            assert forbidden_scan(grown, check=False) is None, trial
+            assert forbidden_scan(grown) is None, trial
             new_pair = min_pair(grown)
             assert {new_pair[0], new_pair[1]} == {anchor, "new"} and new_pair[2] == eps
             keep_anchor = restrict(grown, [p for p in grown.points if p != "new"])
@@ -179,7 +179,7 @@ def test_criterion_6_dplus_model():
             space = dplus_space(values)
             assert classify_four_point(space) is FourPointClass.K13
             assert weakly_similar(space, S4) is not None
-            assert embeds_in_dplus(space, check=False) is not None
+            assert embeds_in_dplus(space) is not None
             quads_checked += 1
         assert quads_checked > 80
 
@@ -245,13 +245,13 @@ def test_criterion_8_weak_similarity_on_every_forbidden_quad():
     with criterion(8, "WEAK SIMILARITY"):
         quads = [X4, Y4]  # criterion 2's forbidden spaces
         for space in enumerate_ultrametrics(EXHAUSTIVE_SPEC):
-            witness = forbidden_scan(space, check=False)
+            witness = forbidden_scan(space)
             if witness is not None:
                 quads.append(restrict(space, list(witness.quad)))
         for spec in SAMPLE_SPECS:
             for index in range(spec.count):
                 space = sample_dendrogram(spec, index)
-                witness = forbidden_scan(space, check=False)
+                witness = forbidden_scan(space)
                 if witness is not None:
                     quads.append(restrict(space, list(witness.quad)))
         assert len(quads) > 100  # the sampled runs hit plenty of forbidden spaces

@@ -219,6 +219,15 @@ class TestConjecture:
             assert result.stdout == ""
             assert result.stderr.startswith("error:")
 
+    def test_negative_count_is_usage_error(self):
+        for command in (("conjecture", "--which", "k13"), ("gen",)):
+            result = run_cli(
+                *command, "--n", "5", "--alphabet", "1,2", "--mode", "sample", "--count", "-3",
+            )
+            assert result.returncode == 2, command
+            assert result.stdout == ""
+            assert "count must be non-negative" in result.stderr
+
 
 class TestContract:
     def test_unknown_command_is_usage_error(self):

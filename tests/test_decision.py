@@ -20,6 +20,9 @@ from starmetric import (
     Z4,
     adjoin_near,
     are_isometric,
+    check_equidistant,
+    check_k112_conjecture,
+    check_k13_conjecture,
     classify_four_point,
     diagnose,
     dplus_space,
@@ -37,6 +40,7 @@ from starmetric import (
     unshift,
     validate,
 )
+from starmetric import spaces
 from starmetric.decision import _has_forbidden_ball
 from starmetric.stars import center_condition_violation
 from helpers import embeds_oracle, random_star, sample_space
@@ -84,7 +88,7 @@ class TestFindCenter:
         for space in spaces:
             # shuffled point order moves the first center around
             space = restrict(space, rng.sample(space.points, space.n))
-            found = find_center(space, check=False)
+            found = find_center(space)
             expected = first_center_oracle(space)
             assert (found.center if found else None) == expected
             centers += expected is not None
@@ -119,7 +123,7 @@ class TestForbiddenScan:
         spec = GeneratorSpec(n=4, alphabet=("1", "2", "3"))
         for space in enumerate_ultrametrics(spec):
             sizes = multipartite_signature(diametrical_graph(space)).sizes
-            assert (forbidden_scan(space, check=False) is not None) == (sizes == (2, 2))
+            assert (forbidden_scan(space) is not None) == (sizes == (2, 2))
 
 
 class TestBallTree:
@@ -128,7 +132,7 @@ class TestBallTree:
         assert len(spaces) == 1304
         forbidden = 0
         for space in spaces:
-            expected = forbidden_scan(space, check=False) is not None
+            expected = forbidden_scan(space) is not None
             assert _has_forbidden_ball(space) == expected
             forbidden += expected
         assert 0 < forbidden < len(spaces)
@@ -136,7 +140,7 @@ class TestBallTree:
     def test_agrees_with_forbidden_scan_on_seeded_n9_samples(self):
         forbidden = 0
         for space in seeded_n9():
-            expected = forbidden_scan(space, check=False) is not None
+            expected = forbidden_scan(space) is not None
             assert _has_forbidden_ball(space) == expected
             forbidden += expected
         assert 0 < forbidden < 300
@@ -368,3 +372,52 @@ class TestStructuralProperties:
             keep_new = restrict(grown, [p for p in grown.points if p != anchor])
             assert keep_anchor == space
             assert are_isometric(keep_anchor, keep_new) is not None
+
+
+# the nine operations that need an ultrametric, each guarded unconditionally
+GUARDED = {
+    "find_center": find_center,
+    "forbidden_scan": forbidden_scan,
+    "diagnose": diagnose,
+    "shift": lambda space: shift(space, "1/2"),
+    "unshift": lambda space: unshift(space, 1),
+    "embeds_in_dplus": embeds_in_dplus,
+    "check_equidistant": check_equidistant,
+    "check_k112_conjecture": check_k112_conjecture,
+    "check_k13_conjecture": check_k13_conjecture,
+}
+
+
+class TestUltrametricGuard:
+    @pytest.mark.parametrize("name", GUARDED)
+    def test_non_ultrametric_input_raises_without_validate(self, name, monkeypatch):
+        # X4 with the short chord stretched to 5: metric, not ultrametric.
+        # Guards must not go through validate, whose is_metric flag is a
+        # cubic scan that only the validate report needs.
+        def no_validate(space):
+            raise AssertionError("an ultrametric guard went through validate")
+
+        monkeypatch.setattr(spaces, "validate", no_validate)
+        broken = FiniteMetricSpace(
+            ("x1", "x2", "x3", "x4"),
+            [[0, 3, 5, 3], [3, 0, 3, 2], [5, 3, 0, 3], [3, 2, 3, 0]],
+        )
+        with pytest.raises(NotUltrametricError) as err:
+            GUARDED[name](broken)
+        v = err.value.violation
+        assert (v.x, v.via, v.y, v.lhs, v.bound) == ("x1", "x2", "x3", 5, 3)
+
+    def test_diagnose_then_star_checks_the_space_once(self, monkeypatch):
+        calls = []
+        subdominant = spaces._equals_subdominant
+
+        def counted(dist):
+            calls.append(len(dist))
+            return subdominant(dist)
+
+        monkeypatch.setattr(spaces, "_equals_subdominant", counted)
+        space = star_metric(random_star(random.Random(74), max_leaves=20))
+        report = diagnose(space)
+        assert report.verdict is Verdict.US
+        star_from_center(space, report.center.center)
+        assert calls == [space.n]

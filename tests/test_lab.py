@@ -99,6 +99,10 @@ class TestSampleDendrogram:
         with pytest.raises(ValueError):
             sample_dendrogram(GeneratorSpec(n=3, alphabet=(), mode="sample"))
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="count must be non-negative, got -3"):
+            GeneratorSpec(n=5, alphabet=("1", "2"), mode="sample", count=-3)
+
 
 class TestChecks:
     def test_equidistant_cases(self):

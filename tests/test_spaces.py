@@ -18,11 +18,13 @@ from starmetric import (
     are_isometric,
     equidistant,
     min_pair,
+    rank_matrix,
     restrict,
     spectrum,
     swap_isometry,
     validate,
 )
+from starmetric.spaces import require_ultrametric
 from helpers import relabel, sample_space, validate_oracle
 
 
@@ -136,6 +138,38 @@ class TestValidate:
             else:
                 kinds["not metric"] += 1
         assert min(kinds.values()) >= 300, kinds
+
+    def test_guard_first_then_full_report(self):
+        # require_ultrametric fills the space's memo without the is_metric
+        # flag; validate must still report it, and the same first triple
+        rng = random.Random(71)
+        kinds = {"metric only": 0, "not metric": 0}
+        for i in range(600):
+            n = rng.randint(3, 6)
+            values = (2, 3, 4) if i % 2 == 0 else (Fraction(1, 2), 1, 2, 5)
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            for a in range(n):
+                for b in range(a + 1, n):
+                    rows[a][b] = rows[b][a] = Fraction(rng.choice(values))
+            space = FiniteMetricSpace([f"p{k}" for k in range(n)], rows)
+            expected = validate_oracle(space)
+            if expected.is_ultrametric:
+                continue
+            with pytest.raises(NotUltrametricError) as err:
+                require_ultrametric(space)
+            assert err.value.violation == expected.violation
+            assert validate(space) == expected
+            kinds["metric only" if expected.is_metric else "not metric"] += 1
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_order_data_does_not_change_equality(self):
+        space = sample_space(n=6, seed=73)
+        fresh = FiniteMetricSpace(space.points, space.dist)
+        validate(space)
+        rank_matrix(space)
+        assert space == fresh and hash(space) == hash(fresh)
+        assert rank_matrix(fresh) == rank_matrix(space)
+        assert spectrum(fresh) == spectrum(space)
 
 
 class TestSpectrum:
