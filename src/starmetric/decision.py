@@ -26,6 +26,7 @@ from itertools import combinations, groupby
 from typing import Optional, Sequence
 
 from . import similarity
+from .diametrical import FourPointClass, _quad_class
 from .errors import InternalCheckError
 from .rationals import RationalLike, format_rational, parse_rational
 from .spaces import (
@@ -118,23 +119,6 @@ def _has_forbidden_ball(space: FiniteMetricSpace) -> bool:
     return False
 
 
-def _quad_is_c4(space: FiniteMetricSpace, quad: Sequence[int]) -> bool:
-    # signature (2,2) on four points == exactly two sub-diameter pairs,
-    # and those two pairs disjoint
-    d = space.dist
-    pairs = (
-        (quad[0], quad[1]), (quad[0], quad[2]), (quad[0], quad[3]),
-        (quad[1], quad[2]), (quad[1], quad[3]), (quad[2], quad[3]),
-    )
-    values = [d[i][j] for i, j in pairs]
-    diam = max(values)
-    low = [pairs[k] for k, v in enumerate(values) if v < diam]
-    if len(low) != 2:
-        return False
-    (a, b), (c, e) = low
-    return a != c and a != e and b != c and b != e
-
-
 def forbidden_scan(space: FiniteMetricSpace) -> Optional[ForbiddenWitness]:
     """First four-point subset whose diametrical graph is a 4-cycle.
 
@@ -146,8 +130,9 @@ def forbidden_scan(space: FiniteMetricSpace) -> Optional[ForbiddenWitness]:
     n = space.n
     if n < 4:
         return None
+    dist, k22 = space.dist, FourPointClass.K22
     for quad in combinations(range(n), 4):
-        if _quad_is_c4(space, quad):
+        if _quad_class(dist, quad)[0] is k22:
             labels = tuple(space.points[i] for i in quad)
             sub = restrict(space, labels)
             qm = similarity.classify_forbidden(sub)

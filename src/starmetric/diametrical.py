@@ -7,13 +7,18 @@ isomorphism invariant; four-point spaces therefore classify into one of
 K_{1,1,1,1}, K_{1,1,2}, K_{1,3}, K_{2,2} without any generic isomorphism
 machinery.  The K_{2,2} case (a plain 4-cycle) is the forbidden pattern for
 star-generated spaces.
-"""
+
+On four points the class is read straight off the sub-diameter pairs, the
+graph's non-edges, by one private classifier that the four-point class, the
+forbidden-quad scan and the X4/Y4 model split all share; no graph is built.
+In a general complete multipartite graph, each vertex's part is its closed
+non-neighbourhood."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import NotCompleteMultipartiteError
@@ -69,12 +74,8 @@ class FourPointClass(Enum):
     K22 = "K22"
 
 
-_CLASS_BY_SIZES = {
-    (1, 1, 1, 1): FourPointClass.K1111,
-    (1, 1, 2): FourPointClass.K112,
-    (1, 3): FourPointClass.K13,
-    (2, 2): FourPointClass.K22,
-}
+# plain names: an Enum member lookup costs as much as the quad's pair tests
+_K1111, _K112, _K13, _K22 = FourPointClass
 
 
 def diametrical_graph(space: FiniteMetricSpace) -> SimpleGraph:
@@ -93,67 +94,53 @@ def diametrical_graph(space: FiniteMetricSpace) -> SimpleGraph:
     return SimpleGraph.build(space.points, edges)
 
 
-def complement(graph: SimpleGraph) -> SimpleGraph:
-    verts = graph.vertices
-    edges = [
-        (verts[i], verts[j])
-        for i in range(len(verts))
-        for j in range(i + 1, len(verts))
-        if not graph.has_edge(verts[i], verts[j])
-    ]
-    return SimpleGraph.build(verts, edges)
-
-
-def connected_components(graph: SimpleGraph) -> list[list[str]]:
-    """Components as vertex lists, each in vertex order, ordered by first vertex."""
-    pos = {v: i for i, v in enumerate(graph.vertices)}
-    adj: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    for u, v in graph.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen: set[str] = set()
-    components = []
-    for start in graph.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        seen |= comp
-        components.append(sorted(comp, key=pos.__getitem__))
-    return components
-
-
 def multipartite_signature(graph: SimpleGraph) -> Optional[MultipartiteSignature]:
     """Recover the unique partition of a complete multipartite graph.
 
-    Candidate parts are the connected components of the complement; the graph
-    is complete multipartite iff every such component is a clique of the
-    complement (equivalently, an independent set of the graph).  Cross-part
-    adjacency then holds automatically, because any non-adjacent pair of the
-    graph is an edge of the complement and lands in one component.  Returns
-    None when some component fails the clique test.  Part sizes are sorted
-    ascending, ties ordered by first vertex.
+    A vertex's closed non-neighbourhood (itself plus every vertex it is not
+    joined to) is its part: the graph is complete multipartite iff every
+    member of that set has the same closed non-neighbourhood, that is, iff
+    non-adjacency is an equivalence relation.  Returns None otherwise.  Part
+    sizes are sorted ascending, ties ordered by first vertex.
     """
-    if len(graph.vertices) < 2:
+    verts = graph.vertices
+    if len(verts) < 2:
         raise ValueError("multipartite recognition needs at least two vertices")
-    comp_graph = complement(graph)
-    parts = connected_components(comp_graph)
-    for part in parts:
-        for i in range(len(part)):
-            for j in range(i + 1, len(part)):
-                if not comp_graph.has_edge(part[i], part[j]):
-                    return None
-    pos = {v: i for i, v in enumerate(graph.vertices)}
-    parts.sort(key=lambda p: (len(p), pos[p[0]]))
-    return MultipartiteSignature(
-        tuple(len(p) for p in parts), tuple(tuple(p) for p in parts)
-    )
+    closed = {v: tuple(u for u in verts if u == v or not graph.has_edge(u, v)) for v in verts}
+    if any(closed[u] != part for part in closed.values() for u in part):
+        return None
+    # distinct parts in order of first vertex; the sort is stable
+    parts = sorted(dict.fromkeys(closed.values()), key=len)
+    return MultipartiteSignature(tuple(len(p) for p in parts), tuple(parts))
+
+
+def _quad_class(
+    dist: Sequence[Sequence[Fraction]], quad: Sequence[int]
+) -> tuple[Optional[FourPointClass], list[tuple[int, int]]]:
+    """Class of the diametrical graph on four indices of ``dist``, plus its non-edges.
+
+    The non-edges are the sub-diameter pairs, listed in pair order of
+    ``quad``.  None means the graph is not complete multipartite.  For K22
+    the two pairs are its parts, the pair holding ``quad[0]`` first.
+    """
+    a, b, c, e = quad
+    ra, rb = dist[a], dist[b]
+    values = (ra[b], ra[c], ra[e], rb[c], rb[e], dist[c][e])
+    diam = max(values)
+    pairs = ((a, b), (a, c), (a, e), (b, c), (b, e), (c, e))
+    # the identity test spares the diameter entry a Fraction comparison
+    low = [pair for pair, value in zip(pairs, values) if value is not diam and value < diam]
+    if len(low) == 2:
+        (p, q), (r, s) = low
+        # p != s already: pairs list in quad order, so p precedes r, which precedes s
+        return (_K22 if p != r and q != r and q != s else None), low
+    if len(low) == 3:
+        # a triangle on x, y, z, in quad order, lists as (x, y), (x, z), (y, z)
+        (p, q), (r, s), (t, u) = low
+        return (_K13 if p == r and t == q and u == s else None), low
+    if len(low) < 2:
+        return (_K112 if low else _K1111), low
+    return None, low
 
 
 def classify_four_point(space: FiniteMetricSpace) -> FourPointClass:
@@ -165,16 +152,11 @@ def classify_four_point(space: FiniteMetricSpace) -> FourPointClass:
     """
     if space.n != 4:
         raise ValueError(f"four-point classification got {space.n} points")
-    sig = multipartite_signature(diametrical_graph(space))
-    if sig is None:
+    cls, _ = _quad_class(space.dist, (0, 1, 2, 3))
+    if cls is None:
         raise NotCompleteMultipartiteError(
             "diametrical graph is not complete multipartite, "
             "which certifies the space is not ultrametric"
-        )
-    cls = _CLASS_BY_SIZES.get(sig.sizes)
-    if cls is None:
-        raise NotCompleteMultipartiteError(
-            f"unexpected four-vertex signature {sig.sizes}"
         )
     return cls
 

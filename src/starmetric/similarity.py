@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .diametrical import diametrical_graph, multipartite_signature
+from .diametrical import FourPointClass, _quad_class
 from .errors import InternalCheckError, SizeCapError
 from .models import MODELS, X4, Y4
 from .rationals import format_rational
@@ -175,13 +175,15 @@ def classify_forbidden(space: FiniteMetricSpace) -> QuadModel:
     if space.n != 4:
         raise ValueError(f"forbidden-quad classification got {space.n} points")
     require_ultrametric(space)
-    sig = multipartite_signature(diametrical_graph(space))
-    if sig is None or sig.sizes != (2, 2):
+    cls, low = _quad_class(space.dist, (0, 1, 2, 3))
+    if cls is not FourPointClass.K22:
+        # each class is named by its sorted part sizes, as in "K112"
+        sizes = None if cls is None else tuple(map(int, cls.value[1:]))
         raise ValueError(
             "forbidden-quad classification needs diametrical signature (2, 2), "
-            f"got {None if sig is None else sig.sizes}"
+            f"got {sizes}"
         )
-    (p1, p3), (p2, p4) = sig.parts
+    (p1, p3), (p2, p4) = ((space.points[i], space.points[j]) for i, j in low)
     chord_a = space.d(p1, p3)
     chord_b = space.d(p2, p4)
     if chord_a == chord_b:

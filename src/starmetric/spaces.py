@@ -101,6 +101,8 @@ class FiniteMetricSpace:
                     raise InvalidSpaceError(
                         "labels", f"pair ({a},{b}) names unknown point label {label!r}"
                     )
+            if a == b:
+                raise InvalidSpaceError("labels", f"pair ({a},{b}) joins a point to itself")
             i, j = pos[a], pos[b]
             key = (min(i, j), max(i, j))
             if key in seen:

@@ -170,9 +170,12 @@ class LabeledStarGraph:
     def from_dict(cls, data: dict) -> "LabeledStarGraph":
         if not isinstance(data, dict) or "center" not in data or "leaves" not in data:
             raise ValueError("star JSON must have 'center' and 'leaves'")
-        return cls.build(
-            data["center"], data.get("center_label", 0), data["leaves"]
-        )
+        center, leaves = data["center"], data["leaves"]
+        if not isinstance(center, str) or not center:
+            raise ValueError("star JSON 'center' must be a non-empty string")
+        if not isinstance(leaves, dict) or not all(isinstance(leaf, str) for leaf in leaves):
+            raise ValueError("star JSON 'leaves' must be an object mapping leaf names to labels")
+        return cls.build(center, data.get("center_label", 0), leaves)
 
 
 def degenerate_edge(tree: LabeledTree) -> Optional[tuple[str, str]]:

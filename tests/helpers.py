@@ -2,20 +2,25 @@
 
 Oracles here deliberately avoid the code paths they check: the ultrametric
 enumeration oracle filters a raw product through its own cubic triple scan,
-the max-metric embedding oracle tries every point ordering outright, and the
-matching oracle tries every point permutation in itertools order.
+the max-metric embedding oracle tries every point ordering outright, the
+matching oracle tries every point permutation in itertools order, and the
+multipartite oracle takes the complement graph's components by breadth-first
+search and tests each for a clique.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from starmetric import (
     FiniteMetricSpace,
     GeneratorSpec,
     LabeledStarGraph,
+    MultipartiteSignature,
+    SimpleGraph,
     UltraDiagnosis,
     Violation,
     sample_dendrogram,
@@ -128,3 +133,36 @@ def ranks(matrix):
     """Each entry replaced by its index among the matrix's sorted distinct values."""
     index = {v: k for k, v in enumerate(sorted({x for row in matrix for x in row}))}
     return [[index[x] for x in row] for row in matrix]
+
+
+def multipartite_oracle(graph: SimpleGraph):
+    """Reference for multipartite_signature(): the complement's connected
+    components (breadth-first, each in vertex order) are the candidate parts,
+    and the graph is complete multipartite iff each is a clique of the
+    complement.  Parts sorted by size, ties by first vertex; None otherwise."""
+    verts = graph.vertices
+    pos = {v: i for i, v in enumerate(verts)}
+    comp = SimpleGraph.build(verts, [
+        (u, v) for u, v in combinations(verts, 2) if not graph.has_edge(u, v)
+    ])
+    adj = {v: [] for v in verts}
+    for u, v in comp.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, parts = set(), []
+    for start in verts:
+        if start in seen:
+            continue
+        part, queue = {start}, deque([start])
+        while queue:
+            for y in adj[queue.popleft()]:
+                if y not in part:
+                    part.add(y)
+                    queue.append(y)
+        seen |= part
+        parts.append(sorted(part, key=pos.__getitem__))
+    for part in parts:
+        if any(not comp.has_edge(u, v) for u, v in combinations(part, 2)):
+            return None
+    parts.sort(key=lambda p: (len(p), pos[p[0]]))
+    return MultipartiteSignature(tuple(len(p) for p in parts), tuple(tuple(p) for p in parts))

@@ -1,7 +1,8 @@
 """Diametrical graphs, multipartite recognition, four-point classes."""
 
 import random
-from itertools import combinations
+import re
+from itertools import combinations, product
 
 import pytest
 
@@ -16,12 +17,13 @@ from starmetric import (
     X4,
     Y4,
     Z4,
+    classify_forbidden,
     classify_four_point,
     diametrical_graph,
     graph_to_dot,
     multipartite_signature,
 )
-from helpers import sample_space
+from helpers import multipartite_oracle, sample_space, validate_oracle
 
 
 def edge_set(graph):
@@ -160,6 +162,66 @@ class TestClassifyFourPoint:
             degrees = [graph.degree(v) for v in vertices]
             is_cycle = len(edges) == 4 and all(d == 2 for d in degrees) and _connected(graph)
             assert ((sig is not None) and sig.sizes == (2, 2)) == is_cycle
+
+
+class TestAgreementWithOracle:
+    """The closed-neighbourhood test and the four-point classifier against the
+    complement + breadth-first search + clique oracle, exhaustively."""
+
+    CLASS_BY_SIZES = {
+        (1, 1, 1, 1): FourPointClass.K1111,
+        (1, 1, 2): FourPointClass.K112,
+        (1, 3): FourPointClass.K13,
+        (2, 2): FourPointClass.K22,
+    }
+
+    def test_every_labelled_graph_on_two_to_six_vertices(self):
+        # vertex order differs from name order, so parts must follow position
+        checked = 0
+        for n in range(2, 7):
+            vertices = tuple("fbdace"[:n])
+            pairs = list(combinations(vertices, 2))
+            for mask in range(1 << len(pairs)):
+                edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+                graph = SimpleGraph.build(vertices, edges)
+                assert multipartite_signature(graph) == multipartite_oracle(graph), edges
+                checked += 1
+        assert checked == 2 + 8 + 64 + 1024 + 32768
+
+    def test_every_four_point_matrix_over_one_to_five(self):
+        labels = ("d", "b", "a", "c")
+        cells = list(combinations(range(4), 2))
+        forbidden = 0
+        for values in product(range(1, 6), repeat=6):
+            rows = [[0] * 4 for _ in range(4)]
+            for (i, j), v in zip(cells, values):
+                rows[i][j] = rows[j][i] = v
+            space = FiniteMetricSpace(labels, rows)
+            sig = multipartite_oracle(diametrical_graph(space))
+            if sig is None:
+                with pytest.raises(NotCompleteMultipartiteError):
+                    classify_four_point(space)
+                continue
+            assert classify_four_point(space) is self.CLASS_BY_SIZES[sig.sizes], values
+            if not validate_oracle(space).is_ultrametric:
+                continue
+            if sig.sizes != (2, 2):
+                with pytest.raises(ValueError, match=re.escape(f"got {sig.sizes}")):
+                    classify_forbidden(space)
+                continue
+            forbidden += 1
+            (p1, p3), (p2, p4) = sig.parts
+            chord_a, chord_b = space.d(p1, p3), space.d(p2, p4)
+            if chord_a == chord_b:
+                model, images = "Y4", ("y1", "y2", "y3", "y4")
+            elif chord_a < chord_b:
+                model, images = "X4", ("x1", "x2", "x3", "x4")
+            else:
+                model, images = "X4", ("x2", "x1", "x4", "x3")
+            result = classify_forbidden(space)
+            assert result.model == model, values
+            assert result.witness.mapping == dict(zip((p1, p2, p3, p4), images)), values
+        assert forbidden > 0
 
 
 def _connected(graph):

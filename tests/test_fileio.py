@@ -95,6 +95,22 @@ class TestStarFiles:
         with pytest.raises(ValueError):
             parse_star_file(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"center": "c", "leaves": ["a", "b"]}',
+            '{"center": "c", "leaves": "ab"}',
+            '{"center": 5, "leaves": {"a": "1"}}',
+            '{"center": "", "leaves": {"a": "1"}}',
+        ],
+        ids=["leaves-array", "leaves-string", "center-int", "center-empty"],
+    )
+    def test_schema_slips_are_value_errors(self, tmp_path, text):
+        path = tmp_path / "star.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="star JSON"):
+            parse_star_file(path)
+
     def test_leaf_order_is_preserved(self):
         star = LabeledStarGraph.from_dict(
             {"center": "c", "center_label": "1/2", "leaves": {"b": "1", "a": "2"}}

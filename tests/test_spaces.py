@@ -78,6 +78,15 @@ class TestConstruction:
             with pytest.raises(InvalidSpaceError):
                 FiniteMetricSpace.from_dict(data)
 
+    def test_from_pairs_rejects_a_self_pair(self):
+        # a self-pair must not count as one of the n(n-1)/2 pairs, leaving
+        # d(b, c) silently zero
+        with pytest.raises(InvalidSpaceError, match=r"\(a,a\)") as err:
+            FiniteMetricSpace.from_pairs(
+                ("a", "b", "c"), {("a", "a"): 0, ("a", "b"): 1, ("a", "c"): 2}
+            )
+        assert err.value.kind == "labels"
+
     def test_from_pairs_names_an_unknown_label(self):
         with pytest.raises(InvalidSpaceError, match="'zz'") as err:
             FiniteMetricSpace.from_pairs(("a", "b"), {("a", "zz"): 1})
