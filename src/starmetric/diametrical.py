@@ -10,7 +10,8 @@ star-generated spaces.
 
 On four points the class is read straight off the sub-diameter pairs, the
 graph's non-edges, by one private classifier that the four-point class, the
-forbidden-quad scan and the X4/Y4 model split all share; no graph is built.
+forbidden-quad scan, the X4/Y4 model split and the conjecture checks (on the
+parent space's int ranks) all share; no graph is built.
 In a general complete multipartite graph, each vertex's part is its closed
 non-neighbourhood."""
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import NotCompleteMultipartiteError
@@ -115,10 +115,11 @@ def multipartite_signature(graph: SimpleGraph) -> Optional[MultipartiteSignature
 
 
 def _quad_class(
-    dist: Sequence[Sequence[Fraction]], quad: Sequence[int]
+    dist: Sequence[Sequence], quad: Sequence[int]
 ) -> tuple[Optional[FourPointClass], list[tuple[int, int]]]:
     """Class of the diametrical graph on four indices of ``dist``, plus its non-edges.
 
+    ``dist`` holds distances or their ranks; only their order is read.
     The non-edges are the sub-diameter pairs, listed in pair order of
     ``quad``.  None means the graph is not complete multipartite.  For K22
     the two pairs are its parts, the pair holding ``quad[0]`` first.
@@ -152,7 +153,12 @@ def classify_four_point(space: FiniteMetricSpace) -> FourPointClass:
     """
     if space.n != 4:
         raise ValueError(f"four-point classification got {space.n} points")
-    cls, _ = _quad_class(space.dist, (0, 1, 2, 3))
+    return _require_quad_class(space.dist, (0, 1, 2, 3))
+
+
+def _require_quad_class(dist: Sequence[Sequence], quad: Sequence[int]) -> FourPointClass:
+    """The class of :func:`_quad_class`, or the error :func:`classify_four_point` raises."""
+    cls, _ = _quad_class(dist, quad)
     if cls is None:
         raise NotCompleteMultipartiteError(
             "diametrical graph is not complete multipartite, "

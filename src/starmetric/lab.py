@@ -8,6 +8,14 @@ construction and reach every space over the alphabet).  Campaigns stream
 spaces through a chosen check, stop at the first counterexample or at
 budget/exhaustion, and re-verify any counterexample from its serialized form
 through an independent load path before reporting it.
+
+The checks build no subspaces.  A quad's diametrical class and its weak
+similarity type depend only on the order of its six distances, so each quad
+is read off the space's memoised int rank matrix: the class through the
+four-point classifier, the model comparisons through the quad's densely
+re-ranked pattern, matched once per (pattern, model) and verified when
+first matched.  The two legs keep separate algorithms, so each still checks
+the other.
 """
 
 from __future__ import annotations
@@ -24,12 +32,12 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from .decision import embeds_in_dplus
-from .diametrical import FourPointClass, classify_four_point
+from .diametrical import FourPointClass, _require_quad_class
 from .errors import InternalCheckError, SizeCapError
-from .models import S4, W4, Z4
+from .models import W4
 from .rationals import format_rational, parse_rational
-from .similarity import weakly_similar
-from .spaces import FiniteMetricSpace, require_ultrametric, restrict
+from .similarity import _pattern_weakly_similar, _quad_pattern, weakly_similar
+from .spaces import FiniteMetricSpace, rank_matrix, require_ultrametric
 
 EXHAUSTIVE_MAX_POINTS = 5
 EXHAUSTIVE_MAX_ALPHABET = 4
@@ -212,21 +220,20 @@ class EquidistantCheck:
 def check_equidistant(space: FiniteMetricSpace) -> EquidistantCheck:
     """Equidistance versus all-quads-K1111, evaluated independently.
 
-    The two sides are provably equivalent for ultrametric spaces, so a
-    disagreement in the returned record indicates a bug, not mathematics.
+    Both sides read the space's rank matrix: all distances are equal iff
+    every off-diagonal rank is 1, and each quad is classified on its ranks
+    in place.  The two sides are provably equivalent for ultrametric spaces,
+    so a disagreement in the returned record indicates a bug, not
+    mathematics.
     """
     if space.n < 4:
         raise ValueError("equidistance check needs at least four points")
     require_ultrametric(space)
     n = space.n
-    dist = space.dist
-    reference = dist[0][1]
-    all_equal = all(
-        dist[i][j] == reference for i in range(n) for j in range(i + 1, n)
-    )
+    ranks = rank_matrix(space)
+    all_equal = all(ranks[i][j] == 1 for i in range(n) for j in range(i + 1, n))
     all_quads = all(
-        classify_four_point(restrict(space, [space.points[i] for i in quad]))
-        == FourPointClass.K1111
+        _require_quad_class(ranks, quad) is FourPointClass.K1111
         for quad in combinations(range(n), 4)
     )
     return EquidistantCheck(all_equal, all_quads)
@@ -249,25 +256,28 @@ class K112Check:
 
 
 def check_k112_conjecture(space: FiniteMetricSpace) -> K112Check:
-    """Per-quad biconditional: classifies K112 iff weakly similar to W4."""
+    """Per-quad biconditional: classifies K112 iff weakly similar to W4.
+
+    Each quad is read from the space's rank matrix: its class through the
+    four-point classifier, its W4 similarity through its re-ranked pattern.
+    """
     if space.n < 4:
         raise ValueError("K112 conjecture check needs at least four points")
     require_ultrametric(space)
     n = space.n
-    quad_k112 = []
-    quad_w4 = []
+    ranks = rank_matrix(space)
+    all_k112 = True
+    all_w4 = True
     violations = []
     for quad in combinations(range(n), 4):
-        labels = tuple(space.points[i] for i in quad)
-        sub = restrict(space, labels)
-        is_k112 = classify_four_point(sub) == FourPointClass.K112
-        is_w4 = weakly_similar(sub, W4) is not None
-        quad_k112.append(is_k112)
-        quad_w4.append(is_w4)
+        is_k112 = _require_quad_class(ranks, quad) is FourPointClass.K112
+        is_w4 = _pattern_weakly_similar(_quad_pattern(ranks, quad), "W4")
+        all_k112 = all_k112 and is_k112
+        all_w4 = all_w4 and is_w4
         if is_k112 != is_w4:
-            violations.append(labels)
+            violations.append(tuple(space.points[i] for i in quad))
     whole = (weakly_similar(space, W4) is not None) if n == 4 else None
-    return K112Check(all(quad_k112), all(quad_w4), whole, tuple(violations))
+    return K112Check(all_k112, all_w4, whole, tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -287,21 +297,26 @@ class K13Check:
 
 
 def check_k13_conjecture(space: FiniteMetricSpace) -> K13Check:
-    """Evaluate the three K13 statements independently and compare them."""
+    """Evaluate the three K13 statements independently and compare them.
+
+    The per-quad statements read each quad from the space's rank matrix, as
+    :func:`check_k112_conjecture` does.
+    """
     if space.n < 4:
         raise ValueError("K13 conjecture check needs at least four points")
     require_ultrametric(space)
     n = space.n
+    ranks = rank_matrix(space)
     all_k13 = True
     any_z4 = False
     all_s4 = True
     for quad in combinations(range(n), 4):
-        sub = restrict(space, [space.points[i] for i in quad])
-        if classify_four_point(sub) != FourPointClass.K13:
+        if _require_quad_class(ranks, quad) is not FourPointClass.K13:
             all_k13 = False
-        if weakly_similar(sub, Z4) is not None:
+        pattern = _quad_pattern(ranks, quad)
+        if _pattern_weakly_similar(pattern, "Z4"):
             any_z4 = True
-        if weakly_similar(sub, S4) is None:
+        if not _pattern_weakly_similar(pattern, "S4"):
             all_s4 = False
     i = all_k13 and not any_z4
     ii = all_s4
@@ -394,6 +409,29 @@ def _sample_trial(spec: GeneratorSpec, which: str, index: int) -> Optional[str]:
     return evaluate_conjecture(which, sample_dendrogram(spec, index))
 
 
+# a worker task is _TASK_SIZE sample indices and a chunk gives each worker
+# _TASKS_PER_CHUNK tasks: enough to keep workers busy between chunks, few
+# enough to bound the work done past a counterexample
+_TASK_SIZE = 32
+_TASKS_PER_CHUNK = 4
+
+
+def _first_flagged(pool, trial, count: int, workers: int) -> Optional[tuple[int, str]]:
+    """The first ``(index, explanation)`` with ``trial(index)`` not None, or None.
+
+    Indices ``0 .. count - 1`` are mapped onto the ``workers`` of ``pool`` one
+    chunk at a time, in order, and no chunk is submitted after the one
+    holding the first flagged index.
+    """
+    step = workers * _TASKS_PER_CHUNK * _TASK_SIZE
+    for lo in range(0, count, step):
+        indices = range(lo, min(lo + step, count))
+        for index, outcome in zip(indices, pool.map(trial, indices, chunksize=_TASK_SIZE)):
+            if outcome is not None:
+                return index, outcome
+    return None
+
+
 def _reverify_counterexample(which: str, space_dict: dict) -> Optional[str]:
     # independent path: serialize to text, reload through the file-format
     # constructor, re-run the check from scratch
@@ -407,8 +445,9 @@ def run_campaign(spec: GeneratorSpec, which: str, jobs: int = 1) -> ConjectureRe
     Stops at the first counterexample (by enumeration order) or at
     exhaustion/budget.  A counterexample must re-verify from its serialized
     form or the run aborts.  ``jobs`` > 1 parallelizes sampled campaigns over
-    index ranges, with at most one worker per CPU and per sample; the merged
-    result is identical to the sequential one.
+    index chunks, with at most one worker per CPU and per sample; chunks run
+    in index order and none is submitted after the first counterexample's,
+    so the report is identical to the sequential one.
     """
     if which not in CONJECTURE_IDS:
         raise ValueError(f"unknown conjecture id {which!r}; expected one of {CONJECTURE_IDS}")
@@ -425,14 +464,12 @@ def run_campaign(spec: GeneratorSpec, which: str, jobs: int = 1) -> ConjectureRe
     if spec.mode == "sample" and workers > 1:
         trial = partial(_sample_trial, spec, which)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(trial, range(spec.count), chunksize=64))
+            flagged = _first_flagged(pool, trial, spec.count, workers)
         instances = spec.count
-        for index, outcome in enumerate(outcomes):
-            if outcome is not None:
-                instances = index + 1
-                bad_space = sample_dendrogram(spec, index)
-                explanation = outcome
-                break
+        if flagged is not None:
+            index, explanation = flagged
+            instances = index + 1
+            bad_space = sample_dendrogram(spec, index)
     else:
         for space in generate(spec):
             instances += 1

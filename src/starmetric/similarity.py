@@ -6,7 +6,9 @@ to the other.  Between finite totally ordered sets of equal size the
 increasing bijection is unique, so the two-sided search collapses to one:
 replace every distance by its rank in the sorted spectrum and look for a
 bijection equating the rank matrices.  Isometry is the case of equal
-spectra, so one rank-matrix matcher serves both searches.
+spectra, so one rank-matrix matcher serves both searches.  A four-point
+quad of a larger space is compared with a model through its six ranks
+alone, and that answer is kept per rank pattern.
 """
 
 from __future__ import annotations
@@ -52,6 +54,57 @@ def _match_ranks(ra: RankMatrix, rb: RankMatrix) -> Optional[list[int]]:
         return False
 
     return assign if extend(0) else None
+
+
+QuadPattern = tuple[int, int, int, int, int, int]
+
+
+def _quad_pattern(ranks: RankMatrix, quad: tuple[int, int, int, int]) -> QuadPattern:
+    """The quad's six pair ranks in pair order, densely re-ranked from 1:
+    the rank matrix its induced subspace would have, without building it."""
+    a, b, c, e = quad
+    ra, rb = ranks[a], ranks[b]
+    six = (ra[b], ra[c], ra[e], rb[c], rb[e], ranks[c][e])
+    dense = {r: k for k, r in enumerate(sorted(set(six)), 1)}
+    return tuple([dense[r] for r in six])
+
+
+# (pattern, model name) -> whether the pattern is weakly similar to the model;
+# a few dozen entries at most, one per four-point ultrametric rank pattern and model
+_PATTERN_MATCHES: dict[tuple[QuadPattern, str], bool] = {}
+
+
+def _pattern_weakly_similar(pattern: QuadPattern, model: str) -> bool:
+    """Whether a four-point space with dense rank ``pattern`` is weakly
+    similar to the four-point model named ``model``.
+
+    ``pattern`` lists the six pair ranks in pair order (12, 13, 14, 23, 24,
+    34), densely ranked from 1, so it is the rank matrix of the four-point
+    space and ``max(pattern) + 1`` its spectrum size.  The answer is the one
+    :func:`weakly_similar` gives and depends on nothing else, so it is
+    matched once per (pattern, model) and kept.  A newly stored match is
+    verified first: with spectra of equal size, the witness check reduces
+    to the bijection carrying the pattern's ranks onto the model's.
+    """
+    key = (pattern, model)
+    found = _PATTERN_MATCHES.get(key)
+    if found is None:
+        ab, ac, ae, bc, be, ce = pattern
+        ra = ((0, ab, ac, ae), (ab, 0, bc, be), (ac, bc, 0, ce), (ae, be, ce, 0))
+        target = MODELS[model]
+        rb = rank_matrix(target)
+        assign = None
+        if max(pattern) + 1 == len(spectrum(target).values):
+            assign = _match_ranks(ra, rb)
+        if assign is not None and (
+            sorted(assign) != [0, 1, 2, 3]
+            or any(ra[i][k] != rb[assign[i]][assign[k]] for i in range(4) for k in range(4))
+        ):
+            raise InternalCheckError(
+                f"rank-pattern match onto model {model} produced a non-verifying bijection"
+            )
+        found = _PATTERN_MATCHES[key] = assign is not None
+    return found
 
 
 def are_isometric(

@@ -16,15 +16,25 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from starmetric import (
+    S4,
+    W4,
+    Z4,
     FiniteMetricSpace,
+    FourPointClass,
     GeneratorSpec,
     LabeledStarGraph,
     MultipartiteSignature,
     SimpleGraph,
     UltraDiagnosis,
     Violation,
+    classify_four_point,
+    embeds_in_dplus,
+    restrict,
     sample_dendrogram,
+    weakly_similar,
 )
+from starmetric.lab import EquidistantCheck, K112Check, K13Check
+from starmetric.spaces import require_ultrametric
 
 DEFAULT_ALPHABET = ("1", "2", "3", "4")
 
@@ -166,3 +176,37 @@ def multipartite_oracle(graph: SimpleGraph):
             return None
     parts.sort(key=lambda p: (len(p), pos[p[0]]))
     return MultipartiteSignature(tuple(len(p) for p in parts), tuple(tuple(p) for p in parts))
+
+
+def conjecture_oracle(which: str, space: FiniteMetricSpace):
+    """Reference for the three conjecture checks: every quad is built as a
+    subspace with ``restrict``, then classified by ``classify_four_point``
+    and compared with the models by the public ``weakly_similar``.  Returns
+    the record the matching ``check_*`` function returns."""
+    require_ultrametric(space)
+    n = space.n
+    subs = [
+        (tuple(space.points[i] for i in quad), restrict(space, [space.points[i] for i in quad]))
+        for quad in combinations(range(n), 4)
+    ]
+    if which == "equidistant":
+        reference = space.dist[0][1]
+        all_equal = all(space.dist[i][j] == reference for i in range(n) for j in range(i + 1, n))
+        return EquidistantCheck(
+            all_equal, all(classify_four_point(sub) == FourPointClass.K1111 for _, sub in subs)
+        )
+    if which == "k112":
+        k112 = [classify_four_point(sub) == FourPointClass.K112 for _, sub in subs]
+        w4 = [weakly_similar(sub, W4) is not None for _, sub in subs]
+        violations = tuple(labels for (labels, _), a, b in zip(subs, k112, w4) if a != b)
+        whole = (weakly_similar(space, W4) is not None) if n == 4 else None
+        return K112Check(all(k112), all(w4), whole, violations)
+    all_k13 = all(classify_four_point(sub) == FourPointClass.K13 for _, sub in subs)
+    any_z4 = any(weakly_similar(sub, Z4) is not None for _, sub in subs)
+    truth = {
+        "i": all_k13 and not any_z4,
+        "ii": all(weakly_similar(sub, S4) is not None for _, sub in subs),
+        "iii": embeds_in_dplus(space) is not None,
+    }
+    pairs = tuple((a, b) for a, b in combinations(("i", "ii", "iii"), 2) if truth[a] != truth[b])
+    return K13Check(truth["i"], truth["ii"], truth["iii"], pairs)

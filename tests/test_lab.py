@@ -24,8 +24,14 @@ from starmetric import (
     sample_dendrogram,
     validate,
 )
-from starmetric import lab
-from helpers import brute_force_ultrametrics
+from starmetric import lab, similarity
+from helpers import brute_force_ultrametrics, conjecture_oracle
+
+CHECKS = {
+    "equidistant": check_equidistant,
+    "k112": check_k112_conjecture,
+    "k13": check_k13_conjecture,
+}
 
 
 class TestEnumerate:
@@ -251,3 +257,81 @@ class TestCampaign:
         report = run_campaign(GeneratorSpec(n=4, alphabet=("1", "2")), "equidistant")
         assert report.wall_time_s >= 0
         assert "wall_time_s" not in report.to_dict()
+
+
+class TestOracleAgreement:
+    """The checks read quads off the parent's ranks; the oracle builds each
+    subspace and runs the public classifier and similarity search on it."""
+
+    @pytest.mark.parametrize("which", sorted(CHECKS))
+    def test_every_five_point_space_over_four_letters(self, which):
+        spaces = list(enumerate_ultrametrics(GeneratorSpec(n=5, alphabet=("1", "2", "3", "4"))))
+        assert len(spaces) == 1304
+        for space in spaces:
+            assert CHECKS[which](space) == conjecture_oracle(which, space), space.dist
+
+    @pytest.mark.parametrize("which", sorted(CHECKS))
+    def test_seeded_eight_point_samples(self, which):
+        spec = GeneratorSpec(n=8, alphabet=("1", "2", "3", "4"), mode="sample", seed=31, count=300)
+        for index in range(spec.count):
+            space = sample_dendrogram(spec, index)
+            assert CHECKS[which](space) == conjecture_oracle(which, space), index
+
+    def test_model_records_match_too(self):
+        # the models and a grown W4 give records where the per-quad
+        # statements differ, and the n = 4 whole-space W4 statement
+        for space in (W4, X4, S4, Z4, E4, adjoin_near(W4, "w1", "1/2"), dplus_space([1, 2, 3, 4, 5])):
+            for which, check in CHECKS.items():
+                assert check(space) == conjecture_oracle(which, space), (which, space)
+
+    def test_a_wrong_bijection_on_a_memo_miss_raises(self, monkeypatch):
+        monkeypatch.setattr(similarity, "_PATTERN_MATCHES", {})
+        monkeypatch.setattr(similarity, "_match_ranks", lambda ra, rb: [1, 0, 2, 3])
+        with pytest.raises(lab.InternalCheckError):
+            check_k13_conjecture(S4)
+
+    def test_a_memo_hit_runs_no_match(self, monkeypatch):
+        grown = adjoin_near(W4, "w1", "1/2")
+        first = check_k112_conjecture(grown)
+
+        def no_match(ra, rb):
+            raise AssertionError("a stored pattern was matched again")
+
+        monkeypatch.setattr(similarity, "_match_ranks", no_match)
+        assert check_k112_conjecture(grown) == first
+
+
+class TestParallelEarlyStop:
+    def test_pool_stops_after_the_chunk_holding_a_counterexample(self, monkeypatch):
+        evaluated = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                # like a process pool, run everything submitted at once
+                evaluated.extend(items)
+                return [fn(index) for index in items]
+
+        spec = GeneratorSpec(n=8, alphabet=("1", "2", "3", "4"), mode="sample", seed=3, count=3000)
+        k = 700
+        flagged = sample_dendrogram(spec, k)
+        monkeypatch.setattr(
+            lab, "evaluate_conjecture", lambda which, space: "flagged" if space == flagged else None
+        )
+        monkeypatch.setattr(lab, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(lab.os, "cpu_count", lambda: 2)
+        sequential = run_campaign(spec, "k13", jobs=1).to_dict()
+        assert sequential["status"] == "COUNTEREXAMPLE"
+        assert sequential["instances"] == k + 1
+        assert run_campaign(spec, "k13", jobs=2).to_dict() == sequential
+        chunk = 2 * lab._TASKS_PER_CHUNK * lab._TASK_SIZE
+        assert len(evaluated) <= k + 1 + chunk
+        assert evaluated == sorted(set(evaluated))
