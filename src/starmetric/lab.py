@@ -409,29 +409,6 @@ def _sample_trial(spec: GeneratorSpec, which: str, index: int) -> Optional[str]:
     return evaluate_conjecture(which, sample_dendrogram(spec, index))
 
 
-# a worker task is _TASK_SIZE sample indices and a chunk gives each worker
-# _TASKS_PER_CHUNK tasks: enough to keep workers busy between chunks, few
-# enough to bound the work done past a counterexample
-_TASK_SIZE = 32
-_TASKS_PER_CHUNK = 4
-
-
-def _first_flagged(pool, trial, count: int, workers: int) -> Optional[tuple[int, str]]:
-    """The first ``(index, explanation)`` with ``trial(index)`` not None, or None.
-
-    Indices ``0 .. count - 1`` are mapped onto the ``workers`` of ``pool`` one
-    chunk at a time, in order, and no chunk is submitted after the one
-    holding the first flagged index.
-    """
-    step = workers * _TASKS_PER_CHUNK * _TASK_SIZE
-    for lo in range(0, count, step):
-        indices = range(lo, min(lo + step, count))
-        for index, outcome in zip(indices, pool.map(trial, indices, chunksize=_TASK_SIZE)):
-            if outcome is not None:
-                return index, outcome
-    return None
-
-
 def _reverify_counterexample(which: str, space_dict: dict) -> Optional[str]:
     # independent path: serialize to text, reload through the file-format
     # constructor, re-run the check from scratch
@@ -445,9 +422,10 @@ def run_campaign(spec: GeneratorSpec, which: str, jobs: int = 1) -> ConjectureRe
     Stops at the first counterexample (by enumeration order) or at
     exhaustion/budget.  A counterexample must re-verify from its serialized
     form or the run aborts.  ``jobs`` > 1 parallelizes sampled campaigns over
-    index chunks, with at most one worker per CPU and per sample; chunks run
-    in index order and none is submitted after the first counterexample's,
-    so the report is identical to the sequential one.
+    index chunks, with at most one worker per CPU and per sample; results are
+    read in index order and the chunks not yet started when the first
+    counterexample is read are cancelled, so the report is identical to the
+    sequential one.
     """
     if which not in CONJECTURE_IDS:
         raise ValueError(f"unknown conjecture id {which!r}; expected one of {CONJECTURE_IDS}")
@@ -463,13 +441,16 @@ def run_campaign(spec: GeneratorSpec, which: str, jobs: int = 1) -> ConjectureRe
 
     if spec.mode == "sample" and workers > 1:
         trial = partial(_sample_trial, spec, which)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flagged = _first_flagged(pool, trial, spec.count, workers)
         instances = spec.count
-        if flagged is not None:
-            index, explanation = flagged
-            instances = index + 1
-            bad_space = sample_dendrogram(spec, index)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for index, outcome in enumerate(pool.map(trial, range(spec.count), chunksize=64)):
+                if outcome is not None:
+                    # drop the chunks no worker has started yet
+                    pool.shutdown(cancel_futures=True)
+                    instances = index + 1
+                    explanation = outcome
+                    bad_space = sample_dendrogram(spec, index)
+                    break
     else:
         for space in generate(spec):
             instances += 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .diametrical import FourPointClass, _quad_class
@@ -69,11 +70,8 @@ def _quad_pattern(ranks: RankMatrix, quad: tuple[int, int, int, int]) -> QuadPat
     return tuple([dense[r] for r in six])
 
 
-# (pattern, model name) -> whether the pattern is weakly similar to the model;
-# a few dozen entries at most, one per four-point ultrametric rank pattern and model
-_PATTERN_MATCHES: dict[tuple[QuadPattern, str], bool] = {}
-
-
+# one cache entry per (four-point ultrametric rank pattern, model): about a hundred
+@cache
 def _pattern_weakly_similar(pattern: QuadPattern, model: str) -> bool:
     """Whether a four-point space with dense rank ``pattern`` is weakly
     similar to the four-point model named ``model``.
@@ -86,25 +84,21 @@ def _pattern_weakly_similar(pattern: QuadPattern, model: str) -> bool:
     verified first: with spectra of equal size, the witness check reduces
     to the bijection carrying the pattern's ranks onto the model's.
     """
-    key = (pattern, model)
-    found = _PATTERN_MATCHES.get(key)
-    if found is None:
-        ab, ac, ae, bc, be, ce = pattern
-        ra = ((0, ab, ac, ae), (ab, 0, bc, be), (ac, bc, 0, ce), (ae, be, ce, 0))
-        target = MODELS[model]
-        rb = rank_matrix(target)
-        assign = None
-        if max(pattern) + 1 == len(spectrum(target).values):
-            assign = _match_ranks(ra, rb)
-        if assign is not None and (
-            sorted(assign) != [0, 1, 2, 3]
-            or any(ra[i][k] != rb[assign[i]][assign[k]] for i in range(4) for k in range(4))
-        ):
-            raise InternalCheckError(
-                f"rank-pattern match onto model {model} produced a non-verifying bijection"
-            )
-        found = _PATTERN_MATCHES[key] = assign is not None
-    return found
+    ab, ac, ae, bc, be, ce = pattern
+    ra = ((0, ab, ac, ae), (ab, 0, bc, be), (ac, bc, 0, ce), (ae, be, ce, 0))
+    target = MODELS[model]
+    rb = rank_matrix(target)
+    if max(pattern) + 1 != len(spectrum(target).values):
+        return False
+    assign = _match_ranks(ra, rb)
+    if assign is not None and (
+        sorted(assign) != [0, 1, 2, 3]
+        or any(ra[i][k] != rb[assign[i]][assign[k]] for i in range(4) for k in range(4))
+    ):
+        raise InternalCheckError(
+            f"rank-pattern match onto model {model} produced a non-verifying bijection"
+        )
+    return assign is not None
 
 
 def are_isometric(

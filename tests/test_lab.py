@@ -285,7 +285,7 @@ class TestOracleAgreement:
                 assert check(space) == conjecture_oracle(which, space), (which, space)
 
     def test_a_wrong_bijection_on_a_memo_miss_raises(self, monkeypatch):
-        monkeypatch.setattr(similarity, "_PATTERN_MATCHES", {})
+        similarity._pattern_weakly_similar.cache_clear()
         monkeypatch.setattr(similarity, "_match_ranks", lambda ra, rb: [1, 0, 2, 3])
         with pytest.raises(lab.InternalCheckError):
             check_k13_conjecture(S4)
@@ -304,6 +304,7 @@ class TestOracleAgreement:
 class TestParallelEarlyStop:
     def test_pool_stops_after_the_chunk_holding_a_counterexample(self, monkeypatch):
         evaluated = []
+        shutdowns = []
 
         class InProcessPool:
             def __init__(self, max_workers):
@@ -316,9 +317,15 @@ class TestParallelEarlyStop:
                 return False
 
             def map(self, fn, items, chunksize=1):
-                # like a process pool, run everything submitted at once
-                evaluated.extend(items)
-                return [fn(index) for index in items]
+                # like a process pool, run a whole chunk before yielding from it
+                items = list(items)
+                for lo in range(0, len(items), chunksize):
+                    chunk = items[lo : lo + chunksize]
+                    evaluated.extend(chunk)
+                    yield from [fn(index) for index in chunk]
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append((len(evaluated), cancel_futures))
 
         spec = GeneratorSpec(n=8, alphabet=("1", "2", "3", "4"), mode="sample", seed=3, count=3000)
         k = 700
@@ -332,6 +339,6 @@ class TestParallelEarlyStop:
         assert sequential["status"] == "COUNTEREXAMPLE"
         assert sequential["instances"] == k + 1
         assert run_campaign(spec, "k13", jobs=2).to_dict() == sequential
-        chunk = 2 * lab._TASKS_PER_CHUNK * lab._TASK_SIZE
-        assert len(evaluated) <= k + 1 + chunk
-        assert evaluated == sorted(set(evaluated))
+        assert k + 1 <= len(evaluated) < k + 1 + 64
+        assert evaluated == list(range(len(evaluated)))
+        assert shutdowns == [(len(evaluated), True)]
