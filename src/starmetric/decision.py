@@ -33,8 +33,10 @@ from .spaces import (
     FiniteMetricSpace,
     _mst_edges,
     min_positive_distance,
+    rank_matrix,
     require_ultrametric,
     restrict,
+    spectrum,
 )
 
 
@@ -74,13 +76,13 @@ def find_center(space: FiniteMetricSpace) -> Optional[CenterWitness]:
 
     A center x0 satisfies d(x0, x) <= d(y, x) for every x != x0 and y != x,
     that is, d(x0, x) is the nearest-neighbour distance of every other x.
-    With those distances computed once the search is O(n^2).
+    With those distances computed once, on ranks, the search is O(n^2).
     """
     require_ultrametric(space)
-    dist = space.dist
+    ranks = rank_matrix(space)
     n = space.n
-    nearest = [min(row[:i] + row[i + 1:], default=None) for i, row in enumerate(dist)]
-    for c, row in enumerate(dist):
+    nearest = [min(row[:i] + row[i + 1:], default=None) for i, row in enumerate(ranks)]
+    for c, row in enumerate(ranks):
         if all(x == c or row[x] == nearest[x] for x in range(n)):
             return CenterWitness(space.points[c])
     return None
@@ -102,7 +104,7 @@ def _has_forbidden_ball(space: FiniteMetricSpace) -> bool:
             root[x] = x = root[root[x]]
         return x
 
-    edges = sorted(_mst_edges(space.dist), key=lambda edge: edge[2])
+    edges = sorted(_mst_edges(rank_matrix(space)), key=lambda edge: edge[2])
     for _, level in groupby(edges, key=lambda edge: edge[2]):
         level = list(level)
         # the children merged at this level, with their sizes before merging
@@ -130,9 +132,9 @@ def forbidden_scan(space: FiniteMetricSpace) -> Optional[ForbiddenWitness]:
     n = space.n
     if n < 4:
         return None
-    dist, k22 = space.dist, FourPointClass.K22
+    ranks, k22 = rank_matrix(space), FourPointClass.K22
     for quad in combinations(range(n), 4):
-        if _quad_class(dist, quad)[0] is k22:
+        if _quad_class(ranks, quad)[0] is k22:
             labels = tuple(space.points[i] for i in quad)
             sub = restrict(space, labels)
             qm = similarity.classify_forbidden(sub)
@@ -201,13 +203,11 @@ def unshift(space: FiniteMetricSpace, delta: RationalLike) -> FiniteMetricSpace:
 
 
 def _offset(space: FiniteMetricSpace, delta: Fraction) -> FiniteMetricSpace:
-    """The space with ``delta`` added to every off-diagonal distance."""
-    n = space.n
-    rows = [
-        [space.dist[i][j] + delta if i != j else Fraction(0) for j in range(n)]
-        for i in range(n)
-    ]
-    return FiniteMetricSpace(space.points, rows)
+    """The space with ``delta`` added to every off-diagonal distance, which
+    the caller keeps positive: the order, so the rank matrix, is unchanged."""
+    zero, *positive = spectrum(space).values
+    values = [zero] + [value + delta for value in positive]
+    return FiniteMetricSpace._trusted(space.points, rank_matrix(space), values)
 
 
 def dplus_space(values: Sequence[RationalLike]) -> FiniteMetricSpace:
@@ -238,41 +238,39 @@ def dplus_space(values: Sequence[RationalLike]) -> FiniteMetricSpace:
 def embeds_in_dplus(space: FiniteMetricSpace) -> Optional[dict[str, Fraction]]:
     """Injective weights w with d(x, y) = max(w(x), w(y)), or None.
 
-    Decision procedure: each point's candidate weight is its row minimum.
-    In an embeddable space that recovers the true weight of every point
-    except the bottom one, whose candidate collides with the second weight.
-    The minimum positive distance must then be attained by exactly one pair;
-    the lexicographically smaller member of that pair is reassigned half the
-    second-smallest candidate (halving again on any collision, which cannot
-    actually occur), and the max equation is verified before returning.
+    Decision procedure, on ranks: each point's candidate weight is its row
+    minimum.  In an embeddable space that recovers the true weight of every
+    point except the bottom one, whose candidate collides with the second
+    weight.  The minimum positive distance must then be attained by exactly
+    one pair; the lexicographically smaller member of that pair is
+    reassigned half that minimum, below every other weight (rank 0 stands
+    for it), and the max equation is verified before the weights are
+    mapped back to values.
     """
     require_ultrametric(space)
     n = space.n
     if n == 1:
         return {space.points[0]: Fraction(1)}
-    dist = space.dist
-    candidates = [min(dist[i][j] for j in range(n) if j != i) for i in range(n)]
-    floor = min(candidates)
+    ranks = rank_matrix(space)
+    weights = [min(row[:i] + row[i + 1:]) for i, row in enumerate(ranks)]
+    floor = min(weights)
     attaining = [
         (i, j)
         for i in range(n)
         for j in range(i + 1, n)
-        if dist[i][j] == floor
+        if ranks[i][j] == floor
     ]
     if len(attaining) != 1:
         return None
     bottom = attaining[0][0]
-    weights = list(candidates)
-    second = sorted(candidates)[1]
-    value = second / 2
-    taken = {w for k, w in enumerate(weights) if k != bottom}
-    while value in taken:
-        value /= 2
-    weights[bottom] = value
+    weights[bottom] = 0
     if len(set(weights)) != n:
         return None
     for i in range(n):
         for j in range(i + 1, n):
-            if dist[i][j] != max(weights[i], weights[j]):
+            if ranks[i][j] != max(weights[i], weights[j]):
                 return None
-    return {space.points[i]: weights[i] for i in range(n)}
+    values = spectrum(space).values
+    result = {p: values[w] for p, w in zip(space.points, weights)}
+    result[space.points[bottom]] = values[floor] / 2
+    return result

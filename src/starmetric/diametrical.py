@@ -10,8 +10,8 @@ star-generated spaces.
 
 On four points the class is read straight off the sub-diameter pairs, the
 graph's non-edges, by one private classifier that the four-point class, the
-forbidden-quad scan, the X4/Y4 model split and the conjecture checks (on the
-parent space's int ranks) all share; no graph is built.
+forbidden-quad scan and the conjecture checks (both on the parent space's
+int ranks) and the X4/Y4 model split all share; no graph is built.
 In a general complete multipartite graph, each vertex's part is its closed
 non-neighbourhood."""
 

@@ -4,14 +4,17 @@ Two space sources feed the checks: exhaustive enumeration of every
 ultrametric matrix over a small distance alphabet (in lexicographic matrix
 order, duplicate-free), and seeded dendrogram sampling (random recursive
 partitions with strictly decreasing level values, which are ultrametric by
-construction and reach every space over the alphabet).  Campaigns stream
-spaces through a chosen check, stop at the first counterexample or at
+construction and reach every space over the alphabet).  Both generators
+work on alphabet indices and hand them, with the letters, to a private
+constructor that skips parsing, the exact sort and the axiom checks; every
+check still verifies that its space is ultrametric.  Campaigns stream spaces
+through a chosen check, stop at the first counterexample or at
 budget/exhaustion, and re-verify any counterexample from its serialized form
 through an independent load path before reporting it.
 
 The checks build no subspaces.  A quad's diametrical class and its weak
 similarity type depend only on the order of its six distances, so each quad
-is read off the space's memoised int rank matrix: the class through the
+is read off the space's int rank matrix: the class through the
 four-point classifier, the model comparisons through the quad's densely
 re-ranked pattern, matched once per (pattern, model) and verified when
 first matched.  The two legs keep separate algorithms, so each still checks
@@ -113,12 +116,14 @@ def enumerate_ultrametrics(spec: GeneratorSpec) -> Iterator[FiniteMetricSpace]:
         closing.append([(index_of[(p, i)], index_of[(p, j)]) for p in range(i)])
     k = len(spec.alphabet)
     values = [0] * len(cells)
+    levels_to_values = (Fraction(0),) + spec.alphabet
 
     def emit() -> FiniteMetricSpace:
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        # letter v is level v + 1; level 0 is the diagonal
+        rows = [[0] * n for _ in range(n)]
         for (i, j), v in zip(cells, values):
-            rows[i][j] = rows[j][i] = spec.alphabet[v]
-        return FiniteMetricSpace(labels, rows)
+            rows[i][j] = rows[j][i] = v + 1
+        return FiniteMetricSpace._trusted(labels, rows, levels_to_values)
 
     def fill(pos: int) -> Iterator[FiniteMetricSpace]:
         if pos == len(cells):
@@ -170,12 +175,12 @@ def sample_dendrogram(spec: GeneratorSpec, index: int = 0) -> FiniteMetricSpace:
     if not spec.alphabet:
         raise ValueError("alphabet too small: sampling n >= 2 needs at least one level")
     rng = random.Random(f"{spec.seed}:{index}")
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    # level k stands for the k-th letter (from 1); level 0 is the diagonal
+    rows = [[0] * n for _ in range(n)]
 
-    def split(block: list[int], levels: tuple[Fraction, ...]) -> None:
-        level_idx = rng.randrange(len(levels))
-        level = levels[level_idx]
-        lower = levels[:level_idx]
+    def split(block: list[int], top: int) -> None:
+        # the split's level is drawn from levels 1..top, deeper ones below it
+        lower = rng.randrange(top)
         if lower:
             groups = _random_partition(block, rng)
         else:
@@ -184,13 +189,13 @@ def sample_dendrogram(spec: GeneratorSpec, index: int = 0) -> FiniteMetricSpace:
             for gj in range(gi + 1, len(groups)):
                 for x in groups[gi]:
                     for y in groups[gj]:
-                        rows[x][y] = rows[y][x] = level
+                        rows[x][y] = rows[y][x] = lower + 1
         for group in groups:
             if len(group) >= 2:
                 split(group, lower)
 
-    split(list(range(n)), spec.alphabet)
-    return FiniteMetricSpace(labels, rows)
+    split(list(range(n)), len(spec.alphabet))
+    return FiniteMetricSpace._trusted(labels, rows, (Fraction(0),) + spec.alphabet)
 
 
 def generate(spec: GeneratorSpec) -> Iterator[FiniteMetricSpace]:

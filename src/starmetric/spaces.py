@@ -7,26 +7,31 @@ off-diagonal entries); the triangle inequalities are checked by
 :func:`validate`, which distinguishes metric from ultrametric input and
 reports the first violating triple.
 
-Spaces are immutable and operations return new values.  The order data
-derived from a space (its first strong-triangle violation, its spectrum and
-its rank matrix) is computed once per space, on first use; it is a pure
-function of the immutable matrix, so concurrent use still needs no locks.
-Tie-breaking is always lexicographic in the stored point order, making every
-operation deterministic.
+Construction parses each distinct numeral text once and ranks the distinct
+values once, exactly, so a space holds its spectrum and its int rank matrix
+from the start; the structural checks and every order-only kernel (the
+ultrametric check, the center, the ball tree, the four-point classes) read
+the ranks, and ``Fraction`` values serve output, sums and shifts.  Spaces are
+immutable and operations return new values.  The first strong-triangle
+violation is found once per space, on first use; it is a pure function of
+the immutable matrix, so concurrent use still needs no locks.  Tie-breaking
+is always lexicographic in the stored point order, making every operation
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NoReturn, Optional, Sequence
 
 from .errors import InternalCheckError, InvalidSpaceError, NotUltrametricError
 from .rationals import RationalLike, format_rational, parse_rational
 
 
 class FiniteMetricSpace:
-    """Ordered point labels plus an exact symmetric distance matrix."""
+    """Ordered point labels plus an exact symmetric distance matrix, with the
+    matrix's spectrum and int rank matrix."""
 
     __slots__ = ("points", "dist", "_pos", "_violation", "_spectrum", "_rank_matrix")
 
@@ -39,38 +44,72 @@ class FiniteMetricSpace:
         if len(set(pts)) != len(pts):
             raise InvalidSpaceError("labels", "point labels must be unique")
         n = len(pts)
-        rows = tuple(tuple(parse_rational(x) for x in row) for row in dist)
-        if len(rows) != n or any(len(row) != n for row in rows):
+        # Each distinct numeral text is parsed once.  Any other cell is parsed
+        # on its own and keyed on the Fraction it parses to, never on the raw
+        # cell: 1, True and 1.0 share a hash, and a list has none.
+        slot_of: dict = {Fraction(0): 0}
+        values = [Fraction(0)]
+        slot_rows = []
+        for row in dist:
+            slots = []
+            for x in row:
+                key = x if type(x) is str else parse_rational(x)
+                slot = slot_of.get(key)
+                if slot is None:
+                    slot = slot_of[key] = len(values)
+                    values.append(parse_rational(key))
+                slots.append(slot)
+            slot_rows.append(slots)
+        if len(slot_rows) != n or any(len(row) != n for row in slot_rows):
             raise InvalidSpaceError(
                 "shape", f"distance matrix must be {n}x{n} to match {n} points"
             )
-        for i in range(n):
-            if rows[i][i] != 0:
-                raise InvalidSpaceError(
-                    "diagonal", f"d({pts[i]},{pts[i]}) = {rows[i][i]} must be 0"
-                )
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise InvalidSpaceError(
-                        "asymmetry",
-                        f"d({pts[i]},{pts[j]}) = {rows[i][j]} but "
-                        f"d({pts[j]},{pts[i]}) = {rows[j][i]}",
-                    )
-                if rows[i][j] < 0:
-                    raise InvalidSpaceError(
-                        "negative", f"d({pts[i]},{pts[j]}) = {rows[i][j]} is negative"
-                    )
-                if rows[i][j] == 0:
-                    raise InvalidSpaceError(
-                        "coincident",
-                        f"d({pts[i]},{pts[j]}) = 0 but {pts[i]} != {pts[j]}",
-                    )
-        self.points = pts
+        slot_rank, distinct = _rank_values(values)
+        ranks = tuple(tuple(map(slot_rank.__getitem__, row)) for row in slot_rows)
+        rows = tuple(tuple(map(values.__getitem__, row)) for row in slot_rows)
+        # rank 0 is the value 0 exactly when no value is negative
+        zero = slot_rank[0]
+        if not (
+            zero == 0
+            and all(row[i] == 0 and row.count(0) == 1 for i, row in enumerate(ranks))
+            and ranks == tuple(zip(*ranks))
+        ):
+            _raise_axiom_error(pts, rows, ranks, zero)
+        self._set(pts, rows, ranks, Spectrum(distinct))
+
+    @classmethod
+    def _trusted(
+        cls, points: tuple[str, ...], levels: Sequence[Sequence[int]], values: Sequence[Fraction]
+    ) -> "FiniteMetricSpace":
+        """A space from data whose axioms the caller has already checked.
+
+        ``levels`` is a symmetric int matrix, 0 exactly on the diagonal, in
+        the order of the distances, and ``values[level]`` is the distance, so
+        ``values[0]`` is 0.  The levels are re-ranked densely; nothing is
+        parsed or checked, and the labels must be valid and unique.
+        """
+        used = sorted(set().union(*levels))
+        dense = [0] * (used[-1] + 1)
+        for rank, level in enumerate(used):
+            dense[level] = rank
+        space = cls.__new__(cls)
+        space._set(
+            tuple(points),
+            tuple(tuple(map(values.__getitem__, row)) for row in levels),
+            tuple(tuple(map(dense.__getitem__, row)) for row in levels),
+            Spectrum(tuple(values[level] for level in used)),
+        )
+        return space
+
+    def _set(self, points, rows, ranks, spec) -> None:
+        self.points = points
         self.dist = rows
-        self._pos = {p: i for i, p in enumerate(pts)}
-        # order data memoised on first use; equality and hashing ignore it
+        self._pos = {p: i for i, p in enumerate(points)}
+        self._rank_matrix = ranks
+        self._spectrum = spec
+        # the first strong-triangle violation, found on first use; equality
+        # and hashing ignore it and the order data
         self._violation = False  # not yet checked, then None or a Violation
-        self._spectrum = self._rank_matrix = None
 
     @property
     def n(self) -> int:
@@ -193,14 +232,74 @@ class Spectrum:
         return self.values[1:]
 
 
-def _mst_edges(dist: Sequence[Sequence[Fraction]]):
+_INF = float("inf")
+
+
+def _order_key(value: Fraction) -> float:
+    """A float key monotone in ``value``: int / int true division is
+    correctly rounded, and a quotient too large for a float is infinite."""
+    try:
+        return value.numerator / value.denominator
+    except OverflowError:
+        return _INF if value > 0 else -_INF
+
+
+def _rank_values(values: Sequence[Fraction]) -> tuple[list[int], tuple[Fraction, ...]]:
+    """Each value's rank among the distinct values, and those values ascending.
+
+    Sorted on the float key, with exact comparison only among values whose
+    keys tie (equal values, or values too close for a float to separate).
+    """
+    keyed = sorted([(_order_key(v), v, k) for k, v in enumerate(values)])
+    rank = [0] * len(values)
+    distinct: list[Fraction] = []
+    last_key = None
+    for key, value, k in keyed:
+        if key != last_key or value != distinct[-1]:
+            distinct.append(value)
+            last_key = key
+        rank[k] = len(distinct) - 1
+    return rank, tuple(distinct)
+
+
+def _raise_axiom_error(points, rows, ranks, zero: int) -> NoReturn:
+    """Raise the first structural axiom the matrix breaks, in row order:
+    a row's diagonal, then each pair to its right for symmetry, sign and
+    coincidence.  ``zero`` is the rank of the value 0."""
+    n = len(points)
+    for i in range(n):
+        if ranks[i][i] != zero:
+            raise InvalidSpaceError(
+                "diagonal", f"d({points[i]},{points[i]}) = {rows[i][i]} must be 0"
+            )
+        for j in range(i + 1, n):
+            if ranks[i][j] != ranks[j][i]:
+                raise InvalidSpaceError(
+                    "asymmetry",
+                    f"d({points[i]},{points[j]}) = {rows[i][j]} but "
+                    f"d({points[j]},{points[i]}) = {rows[j][i]}",
+                )
+            if ranks[i][j] < zero:
+                raise InvalidSpaceError(
+                    "negative", f"d({points[i]},{points[j]}) = {rows[i][j]} is negative"
+                )
+            if ranks[i][j] == zero:
+                raise InvalidSpaceError(
+                    "coincident",
+                    f"d({points[i]},{points[j]}) = 0 but {points[i]} != {points[j]}",
+                )
+    raise InternalCheckError("the axiom check rejected a valid matrix; this is a bug")
+
+
+def _mst_edges(dist: Sequence[Sequence[int]]):
     """Prim's minimum spanning tree of a complete distance matrix.
 
     Yields ``(vertex, parent, weight)`` as each vertex joins the tree that
     grows from vertex 0: the outside vertex nearest the tree, the first in
     stored order on ties, joins through the tree vertex that first reached
     that distance.  O(n^2) comparisons; a generator, so callers can stop at
-    the first vertex they reject.
+    the first vertex they reject.  Only the order of the entries is read, so
+    callers pass the rank matrix.
     """
     n = len(dist)
     key = list(dist[0])
@@ -217,7 +316,7 @@ def _mst_edges(dist: Sequence[Sequence[Fraction]]):
                 parent[u] = v
 
 
-def _equals_subdominant(dist: Sequence[Sequence[Fraction]]) -> bool:
+def _equals_subdominant(dist: Sequence[Sequence[int]]) -> bool:
     """Whether ``dist`` equals its subdominant ultrametric, the path maximum
     over a minimum spanning tree, which holds exactly for ultrametrics.
 
@@ -239,13 +338,16 @@ def _first_violation(space: FiniteMetricSpace) -> Optional[Violation]:
     """The first strong-triangle violation, or None, computed once per space:
     the O(n^2) subdominant check accepts, the cubic scan names the triple."""
     if space._violation is False:
-        space._violation = None if _equals_subdominant(space.dist) else _scan_violation(space)
+        space._violation = (
+            None if _equals_subdominant(space._rank_matrix) else _scan_violation(space)
+        )
     return space._violation
 
 
 def _scan_violation(space: FiniteMetricSpace) -> Violation:
-    """The first ordered triple (a, b, c) in point order with d(a, c) > max(d(a, b), d(b, c))."""
-    dist, points = space.dist, space.points
+    """The first ordered triple (a, b, c) in point order with d(a, c) > max(d(a, b), d(b, c)),
+    found on the ranks; its two distances are mapped back to values."""
+    dist, points, values = space._rank_matrix, space.points, space._spectrum.values
     n = len(points)
     for a in range(n):
         row_a = dist[a]
@@ -259,7 +361,9 @@ def _scan_violation(space: FiniteMetricSpace) -> Violation:
                     continue
                 bound = dab if dab >= row_b[c] else row_b[c]
                 if row_a[c] > bound:
-                    return Violation(points[a], points[b], points[c], row_a[c], bound)
+                    return Violation(
+                        points[a], points[b], points[c], values[row_a[c]], values[bound]
+                    )
     raise InternalCheckError(
         "the spanning-tree check rejected a space with no violating triple; this is a bug"
     )
@@ -297,11 +401,7 @@ def require_ultrametric(space: FiniteMetricSpace) -> None:
 
 
 def spectrum(space: FiniteMetricSpace) -> Spectrum:
-    """Sorted distinct distances including 0 (the diameter last), computed once per space."""
-    if space._spectrum is None:
-        dist, n = space.dist, space.n
-        seen = {dist[i][j] for i in range(n) for j in range(i + 1, n)}
-        space._spectrum = Spectrum(tuple(sorted(seen | {Fraction(0)})))
+    """Sorted distinct distances including 0 (the diameter last), built with the space."""
     return space._spectrum
 
 
@@ -309,10 +409,7 @@ RankMatrix = tuple[tuple[int, ...], ...]
 
 
 def rank_matrix(space: FiniteMetricSpace) -> RankMatrix:
-    """Each distance's index in the sorted spectrum (0 = diagonal), computed once per space."""
-    if space._rank_matrix is None:
-        index = {value: k for k, value in enumerate(spectrum(space).values)}
-        space._rank_matrix = tuple(tuple(index[x] for x in row) for row in space.dist)
+    """Each distance's index in the sorted spectrum (0 = diagonal), built with the space."""
     return space._rank_matrix
 
 
@@ -336,9 +433,9 @@ def restrict(space: FiniteMetricSpace, subset: Iterable[str]) -> FiniteMetricSpa
     idx = [space.index(p) for p in labels]
     if len(set(idx)) != len(idx):
         raise ValueError("restriction subset contains repeated labels")
-    dist = space.dist
-    rows = [[dist[i][j] for j in idx] for i in idx]
-    return FiniteMetricSpace(labels, rows)
+    ranks = space._rank_matrix
+    levels = [[ranks[i][j] for j in idx] for i in idx]
+    return FiniteMetricSpace._trusted(labels, levels, space._spectrum.values)
 
 
 def min_pair(space: FiniteMetricSpace) -> Optional[tuple[str, str, Fraction]]:
@@ -347,15 +444,15 @@ def min_pair(space: FiniteMetricSpace) -> Optional[tuple[str, str, Fraction]]:
     n = space.n
     if n < 2:
         return None
-    dist = space.dist
+    ranks = space._rank_matrix
     best = None
     arg = (0, 1)
     for i in range(n):
         for j in range(i + 1, n):
-            if best is None or dist[i][j] < best:
-                best = dist[i][j]
+            if best is None or ranks[i][j] < best:
+                best = ranks[i][j]
                 arg = (i, j)
-    return (space.points[arg[0]], space.points[arg[1]], best)
+    return (space.points[arg[0]], space.points[arg[1]], space._spectrum.values[best])
 
 
 def swap_isometry(space: FiniteMetricSpace, x1: str, x2: str) -> dict[str, str]:

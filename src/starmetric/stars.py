@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 from .diametrical import _dot
 from .errors import CenterViolationError, DegenerateLabelingError
 from .rationals import RationalLike, format_rational, parse_rational
-from .spaces import FiniteMetricSpace, require_ultrametric
+from .spaces import FiniteMetricSpace, rank_matrix, require_ultrametric
 
 
 @dataclass(frozen=True)
@@ -249,11 +249,11 @@ def center_condition_violation(
     """First pair (x, y) with d(candidate, x) > d(y, x), or None.
 
     A point with no such pair is a valid star center: it is at least as
-    close to every other point as anything else is.
+    close to every other point as anything else is.  Compared on ranks.
     """
     c = space.index(candidate)
     n = space.n
-    dist = space.dist
+    dist = rank_matrix(space)
     for a in range(n):
         if a == c:
             continue

@@ -5,7 +5,12 @@ enumeration oracle filters a raw product through its own cubic triple scan,
 the max-metric embedding oracle tries every point ordering outright, the
 matching oracle tries every point permutation in itertools order, and the
 multipartite oracle takes the complement graph's components by breadth-first
-search and tests each for a clique.
+search and tests each for a clique.  The order-only kernels, which the
+package runs on each space's int rank matrix, keep their ``Fraction``
+versions here: the constructor's checks with a per-cell parse, the
+spanning-tree ultrametric check, the center search, the center condition,
+the violating-triple scan, the quartic 4-cycle scan and the max-metric
+weights, all comparing the exact distances.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from starmetric import (
+    ForbiddenWitness,
+    InvalidSpaceError,
     S4,
     W4,
     Z4,
@@ -27,13 +34,18 @@ from starmetric import (
     SimpleGraph,
     UltraDiagnosis,
     Violation,
+    classify_forbidden,
     classify_four_point,
     embeds_in_dplus,
+    rank_matrix,
     restrict,
     sample_dendrogram,
+    spectrum,
     weakly_similar,
 )
+from starmetric.diametrical import _quad_class
 from starmetric.lab import EquidistantCheck, K112Check, K13Check
+from starmetric.rationals import parse_rational
 from starmetric.spaces import require_ultrametric
 
 DEFAULT_ALPHABET = ("1", "2", "3", "4")
@@ -210,3 +222,151 @@ def conjecture_oracle(which: str, space: FiniteMetricSpace):
     }
     pairs = tuple((a, b) for a, b in combinations(("i", "ii", "iii"), 2) if truth[a] != truth[b])
     return K13Check(truth["i"], truth["ii"], truth["iii"], pairs)
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference kernels
+# ---------------------------------------------------------------------------
+
+
+def construct_oracle(points, dist):
+    """Reference construction on Fractions: every cell parsed on its own,
+    then the structural checks in row order.  Returns (points, rows,
+    spectrum values, rank rows), or raises what the constructor must."""
+    pts = tuple(points)
+    if not pts:
+        raise InvalidSpaceError("labels", "a space needs at least one point")
+    if any(not isinstance(p, str) or not p for p in pts):
+        raise InvalidSpaceError("labels", "point labels must be non-empty strings")
+    if len(set(pts)) != len(pts):
+        raise InvalidSpaceError("labels", "point labels must be unique")
+    n = len(pts)
+    rows = tuple(tuple(parse_rational(x) for x in row) for row in dist)
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise InvalidSpaceError("shape", f"distance matrix must be {n}x{n} to match {n} points")
+    for i in range(n):
+        if rows[i][i] != 0:
+            raise InvalidSpaceError("diagonal", f"d({pts[i]},{pts[i]}) = {rows[i][i]} must be 0")
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                raise InvalidSpaceError(
+                    "asymmetry",
+                    f"d({pts[i]},{pts[j]}) = {rows[i][j]} but d({pts[j]},{pts[i]}) = {rows[j][i]}",
+                )
+            if rows[i][j] < 0:
+                raise InvalidSpaceError("negative", f"d({pts[i]},{pts[j]}) = {rows[i][j]} is negative")
+            if rows[i][j] == 0:
+                raise InvalidSpaceError(
+                    "coincident", f"d({pts[i]},{pts[j]}) = 0 but {pts[i]} != {pts[j]}"
+                )
+    values = tuple(sorted({rows[i][j] for i in range(n) for j in range(i + 1, n)} | {Fraction(0)}))
+    index = {v: k for k, v in enumerate(values)}
+    return pts, rows, values, tuple(tuple(index[x] for x in row) for row in rows)
+
+
+def outcome(build, *args):
+    """What ``build(*args)`` does: ("ok", result) or (error type, kind, message)."""
+    try:
+        return ("ok", build(*args))
+    except (ValueError, TypeError) as exc:
+        return (type(exc), getattr(exc, "kind", None), str(exc))
+
+
+def construct_outcome(points, dist):
+    """The outcome of the package constructor, in :func:`construct_oracle`'s form."""
+
+    def build(points, dist):
+        space = FiniteMetricSpace(points, dist)
+        return space.points, space.dist, spectrum(space).values, rank_matrix(space)
+
+    return outcome(build, points, dist)
+
+
+def mst_edges_oracle(dist):
+    """Prim's tree from vertex 0 on Fraction distances, as (vertex, parent, weight)."""
+    n = len(dist)
+    key = list(dist[0])
+    parent = [0] * n
+    outside = list(range(1, n))
+    while outside:
+        v = min(outside, key=key.__getitem__)
+        outside.remove(v)
+        yield v, parent[v], key[v]
+        for u in outside:
+            if dist[v][u] < key[u]:
+                key[u] = dist[v][u]
+                parent[u] = v
+
+
+def equals_subdominant_oracle(dist) -> bool:
+    """Whether the Fraction matrix equals the path maximum over its spanning tree."""
+    tree = [0]
+    for v, p, w in mst_edges_oracle(dist):
+        if any(dist[v][u] != max(w, dist[p][u]) for u in tree):
+            return False
+        tree.append(v)
+    return True
+
+
+def scan_violation_oracle(space: FiniteMetricSpace):
+    """The first ordered triple (a, b, c) with d(a, c) > max(d(a, b), d(b, c)), or None."""
+    dist, points, n = space.dist, space.points, space.n
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if len({a, b, c}) == 3 and dist[a][c] > max(dist[a][b], dist[b][c]):
+                    bound = max(dist[a][b], dist[b][c])
+                    return Violation(points[a], points[b], points[c], dist[a][c], bound)
+    return None
+
+
+def center_condition_violation_oracle(space: FiniteMetricSpace, candidate: str):
+    """First pair (x, y) with d(candidate, x) > d(y, x) on Fractions, or None."""
+    c, dist, n = space.index(candidate), space.dist, space.n
+    for a in range(n):
+        for b in range(n):
+            if a != c and b != c and b != a and dist[c][b] > dist[a][b]:
+                return (space.points[b], space.points[a])
+    return None
+
+
+def find_center_oracle(space: FiniteMetricSpace):
+    """The first point whose distance to every other point is that point's
+    nearest-neighbour distance, on Fractions; None when there is none."""
+    dist, n = space.dist, space.n
+    nearest = [min((dist[i][j] for j in range(n) if j != i), default=None) for i in range(n)]
+    for c in range(n):
+        if all(x == c or dist[c][x] == nearest[x] for x in range(n)):
+            return space.points[c]
+    return None
+
+
+def forbidden_scan_oracle(space: FiniteMetricSpace):
+    """The quartic scan on Fraction distances: the first 4-cycle quad in
+    lexicographic order, with its model, or None."""
+    for quad in combinations(range(space.n), 4):
+        if _quad_class(space.dist, quad)[0] is FourPointClass.K22:
+            labels = tuple(space.points[i] for i in quad)
+            model = classify_forbidden(restrict(space, labels)).model
+            return ForbiddenWitness(labels, (2, 2), model)
+    return None
+
+
+def embeds_weights_oracle(space: FiniteMetricSpace):
+    """The max-metric weights on Fractions: row minima, the smaller member
+    of the unique minimum pair halved below them, then the max equation."""
+    n = space.n
+    if n == 1:
+        return {space.points[0]: Fraction(1)}
+    dist = space.dist
+    weights = [min(dist[i][j] for j in range(n) if j != i) for i in range(n)]
+    floor = min(weights)
+    attaining = [(i, j) for i, j in combinations(range(n), 2) if dist[i][j] == floor]
+    if len(attaining) != 1:
+        return None
+    weights[attaining[0][0]] = sorted(weights)[1] / 2
+    if len(set(weights)) != n:
+        return None
+    if any(dist[i][j] != max(weights[i], weights[j]) for i, j in combinations(range(n), 2)):
+        return None
+    return dict(zip(space.points, weights))

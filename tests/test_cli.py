@@ -82,6 +82,28 @@ class TestHostileNumbers:
         assert message in result.stderr
 
 
+    # JSON cells that compare equal to a numeral (True == 1 == 1.0) or
+    # cannot be hashed must each be parsed on their own and refused
+    @pytest.mark.parametrize(
+        "dist, message",
+        [
+            ("[[0, 1], [true, 0]]", "not an exact rational: True"),
+            ("[[0, 1], [1.0, 0]]", "refusing float 1.0: "),
+            ('[[0, ["1"]], [["1"], 0]]', "not an exact rational: ['1']"),
+            ('[[0, {"1": 1}], [{"1": 1}, 0]]', "not an exact rational: {'1': 1}"),
+        ],
+        ids=["bool-beside-int", "float-beside-int", "list-cell", "dict-cell"],
+    )
+    def test_json_cells_equal_to_a_number_are_refused(self, tmp_path, dist, message):
+        path = tmp_path / "hostile.json"
+        path.write_text(f'{{"points": ["a", "b"], "dist": {dist}}}')
+        result = run_cli("diagnose", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {message}")
+        assert "Traceback" not in result.stderr
+
+
 class TestDiagnose:
     def test_star_space(self, files):
         result = run_cli("diagnose", files["S4"])

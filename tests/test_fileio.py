@@ -52,6 +52,21 @@ class TestSpaceFiles:
         assert err.value.kind == "asymmetry"
         assert "a" in str(err.value) and "b" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "dist, message",
+        [
+            ("[[0, 1], [true, 0]]", "not an exact rational: True"),
+            ("[[0, 1], [1.0, 0]]", "refusing float 1.0: "),
+            ('[["0", "1"], [true, "0"]]', "not an exact rational: True"),
+            ('[[0, ["1"]], [["1"], 0]]', "not an exact rational: ['1']"),
+        ],
+        ids=["bool-beside-int", "float-beside-int", "bool-beside-text", "list-cell"],
+    )
+    def test_cells_are_parsed_on_their_own_unless_text(self, dist, message):
+        with pytest.raises(ValueError) as err:
+            parse_space_text(f'{{"points": ["a", "b"], "dist": {dist}}}', kind="json")
+        assert str(err.value).startswith(message)
+
     def test_json_parse_error_reports_position(self):
         with pytest.raises(ParseError) as err:
             parse_space_text('{"points": [,]}', kind="json")

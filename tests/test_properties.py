@@ -1,0 +1,87 @@
+"""Property tests of the int order core against the Fraction oracles.
+
+Needs ``hypothesis`` (the ``test`` extra); without it the module is skipped.
+Matrices are small, mix numeral spellings of one value with Python numbers,
+and are valid or broken; the constructor's outcome (ranks and spectrum, or
+the error's type, kind and message) must equal the Fraction oracle's, and so
+must the first violating triple and the center of the valid ones.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from starmetric import FiniteMetricSpace, NotUltrametricError, find_center  # noqa: E402
+from starmetric.spaces import require_ultrametric  # noqa: E402
+from helpers import (  # noqa: E402
+    construct_oracle,
+    construct_outcome,
+    find_center_oracle,
+    outcome,
+    scan_violation_oracle,
+)
+
+VALUES = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2))
+
+# every spelling of each value that the number grammar accepts, plus the
+# value as a Python number
+SPELLINGS = {
+    Fraction(0): ("0", "0.0", "-0", "0/3", "0e5", 0, Fraction(0)),
+    Fraction(1, 2): ("1/2", "0.5", "5e-1", "+0.50", "2/4", " .5", Fraction(1, 2)),
+    Fraction(1): ("1", "1.0", "+1", "10e-1", "3/3", 1, Fraction(1)),
+    Fraction(3, 2): ("3/2", "1.5", "15E-1", "6/4", Fraction(3, 2)),
+    Fraction(2): ("2", "2.", "0.2e1", "4/2", 2),
+    Fraction(5, 2): ("5/2", "2.50", "25e-1", Fraction(5, 2)),
+}
+
+# cells no valid space holds: broken numerals, numbers refused on type, and
+# numbers that break an axiom wherever they land
+BAD_CELLS = ("1_0", "x", "1/0", "", True, False, 1.0, ["1"], None, "-1/2", -3)
+
+# seeded from the test's name, so every run draws the same examples
+PROFILE = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+
+@st.composite
+def matrices(draw):
+    """(points, dist): a symmetric matrix over ``VALUES`` with each cell
+    spelled on its own, then possibly a few cells overwritten."""
+    n = draw(st.integers(1, 5))
+    values = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i][j] = values[j][i] = draw(st.sampled_from(VALUES))
+    dist = [[draw(st.sampled_from(SPELLINGS[v])) for v in row] for row in values]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        dist[i][j] = draw(st.sampled_from(BAD_CELLS + (Fraction(0),) + VALUES))
+    return [f"p{k}" for k in range(n)], dist
+
+
+@PROFILE
+@given(matrices())
+def test_construction_matches_the_fraction_oracle(case):
+    points, dist = case
+    assert construct_outcome(points, dist) == outcome(construct_oracle, points, dist)
+
+
+@PROFILE
+@given(matrices())
+def test_violation_and_center_match_the_fraction_oracles(case):
+    points, dist = case
+    try:
+        space = FiniteMetricSpace(points, dist)
+    except ValueError:
+        return
+    expected = scan_violation_oracle(space)
+    if expected is None:
+        require_ultrametric(space)
+        center = find_center(space)
+        assert (center and center.center) == find_center_oracle(space)
+    else:
+        with pytest.raises(NotUltrametricError) as err:
+            require_ultrametric(space)
+        assert err.value.violation == expected
