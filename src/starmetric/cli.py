@@ -10,6 +10,7 @@ stderr, and identical invocations produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -133,6 +134,8 @@ def _cmd_conjecture(args) -> int:
     return 0 if report.status != lab.STATUS_COUNTEREXAMPLE else 1
 
 
+# built once per process: parsing reads the parser and leaves it unchanged
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starmetric",

@@ -9,7 +9,8 @@ disagreement as a fatal internal bug rather than picking a side.  The
 4-cycle criterion reads off the ball tree (the single-linkage dendrogram of
 a minimum spanning tree): a quad is a 4-cycle exactly when its smallest
 enclosing ball splits it 2+2, so one exists iff some ball has two children
-of two or more points each.
+of two or more points each.  Naming the lexicographically first such quad
+takes O(n^2) rank comparisons too, without visiting the C(n, 4) quads.
 
 The module also hosts the shift transforms (subtracting or adding a constant
 to every positive distance, which preserves ultrametricity and every
@@ -22,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import groupby
 from typing import Optional, Sequence
 
 from . import similarity
-from .diametrical import FourPointClass, _quad_class
 from .errors import InternalCheckError
 from .rationals import RationalLike, format_rational, parse_rational
 from .spaces import (
@@ -121,25 +121,57 @@ def _has_forbidden_ball(space: FiniteMetricSpace) -> bool:
     return False
 
 
+def _first_four_cycle(ranks) -> Optional[tuple[int, int, int, int]]:
+    """The first quad a < b < c < d, in lexicographic order, of an ultrametric
+    rank matrix whose diametrical graph is a 4-cycle, or None.
+
+    With D = d(a, b) that holds exactly when d(a, c) > D and d(c, d) < d(a, c)
+    (parts {a,b} and {c,d}), or when one of c, d lies in the open ball B(a, D)
+    and the other in B(b, D).  Suffix minima and maxima of row a tell in O(1)
+    whether (a, b) has such a (c, d), so the first such pair costs O(n^2) and
+    its first (c, d) O(n) more.
+    """
+    n = len(ranks)
+    inf = float("inf")
+    # the smallest rank from each point to a later one
+    nearest_later = [min(row[x + 1:], default=inf) for x, row in enumerate(ranks)]
+    for a in range(n - 3):
+        row = ranks[a]
+        # over y and the points after it: low, the smallest rank from a; high,
+        # the largest rank from a to a point with a later point closer to it
+        low, high = [inf] * (n + 1), [-1] * (n + 1)
+        for y in range(n - 1, a, -1):
+            r = row[y]
+            low[y] = r if r < low[y + 1] else low[y + 1]
+            high[y] = r if r > nearest_later[y] and r > high[y + 1] else high[y + 1]
+        for b in range(a + 1, n - 2):
+            dab, later, found = row[b], range(b + 1, n), []
+            if dab < high[b + 1]:
+                c = next(c for c in later if dab < row[c] > nearest_later[c])
+                found.append((c, next(d for d in range(c + 1, n) if ranks[c][d] < row[c])))
+            if dab > low[b + 1] and dab > nearest_later[b]:
+                near_a = next(y for y in later if row[y] < dab)
+                near_b = next(y for y in later if ranks[b][y] < dab)
+                found.append((min(near_a, near_b), max(near_a, near_b)))
+            if found:
+                return (a, b) + min(found)
+    return None
+
+
 def forbidden_scan(space: FiniteMetricSpace) -> Optional[ForbiddenWitness]:
     """First four-point subset whose diametrical graph is a 4-cycle.
 
-    Subsets are visited in lexicographic point order, exhaustively over all
-    C(n, 4) of them.  The witness carries the model classification of the
-    offending quad.  Spaces with fewer than four points trivially pass.
+    The first subset in lexicographic point order, found on the rank matrix
+    in O(n^2) without visiting the C(n, 4) subsets.  The witness carries the
+    model classification of the offending quad.  Spaces with fewer than four
+    points trivially pass.
     """
     require_ultrametric(space)
-    n = space.n
-    if n < 4:
+    quad = _first_four_cycle(rank_matrix(space))
+    if quad is None:
         return None
-    ranks, k22 = rank_matrix(space), FourPointClass.K22
-    for quad in combinations(range(n), 4):
-        if _quad_class(ranks, quad)[0] is k22:
-            labels = tuple(space.points[i] for i in quad)
-            sub = restrict(space, labels)
-            qm = similarity.classify_forbidden(sub)
-            return ForbiddenWitness(labels, (2, 2), qm.model)
-    return None
+    labels = tuple(space.points[i] for i in quad)
+    return ForbiddenWitness(labels, (2, 2), similarity.classify_forbidden(restrict(space, labels)).model)
 
 
 def diagnose(space: FiniteMetricSpace) -> DiagnosisReport:
@@ -149,7 +181,7 @@ def diagnose(space: FiniteMetricSpace) -> DiagnosisReport:
     with two non-singleton children) are both O(n^2).  For finite
     ultrametric spaces a center exists iff no such ball does; disagreement
     can only mean an implementation bug and is raised loudly instead of
-    being resolved silently.  Only a FORBIDDEN verdict runs the quartic
+    being resolved silently.  Only a FORBIDDEN verdict runs the O(n^2)
     :func:`forbidden_scan`, for the lexicographically first witness quad,
     and a scan that finds none is a bug as well.
     """

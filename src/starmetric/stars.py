@@ -249,11 +249,16 @@ def center_condition_violation(
     """First pair (x, y) with d(candidate, x) > d(y, x), or None.
 
     A point with no such pair is a valid star center: it is at least as
-    close to every other point as anything else is.  Compared on ranks.
+    close to every other point as anything else is.  Compared on ranks: one
+    pass accepts when d(candidate, x) is the nearest-neighbour distance of
+    every other x, and only a rejected candidate pays for the ordered pairs.
     """
     c = space.index(candidate)
     n = space.n
     dist = rank_matrix(space)
+    row_c = dist[c]
+    if all(x == c or row_c[x] == min(row[:x] + row[x + 1:]) for x, row in enumerate(dist)):
+        return None
     for a in range(n):
         if a == c:
             continue

@@ -10,7 +10,9 @@ package runs on each space's int rank matrix, keep their ``Fraction``
 versions here: the constructor's checks with a per-cell parse, the
 spanning-tree ultrametric check, the center search, the center condition,
 the violating-triple scan, the quartic 4-cycle scan and the max-metric
-weights, all comparing the exact distances.
+weights, all comparing the exact distances.  The full cubic triple scan and
+the quartic 4-cycle scan, which the package replaced by O(n^2) searches, also
+run here on int rank matrices.
 """
 
 from __future__ import annotations
@@ -308,16 +310,24 @@ def equals_subdominant_oracle(dist) -> bool:
     return True
 
 
+def violating_triple_oracle(dist):
+    """The full cubic scan, on distances or their ranks: the first ordered
+    triple (a, b, c) of distinct indices, in lexicographic order, with
+    dist[a][c] > max(dist[a][b], dist[b][c]), or None."""
+    for a, b, c in permutations(range(len(dist)), 3):
+        if dist[a][c] > max(dist[a][b], dist[b][c]):
+            return a, b, c
+    return None
+
+
 def scan_violation_oracle(space: FiniteMetricSpace):
     """The first ordered triple (a, b, c) with d(a, c) > max(d(a, b), d(b, c)), or None."""
-    dist, points, n = space.dist, space.points, space.n
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if len({a, b, c}) == 3 and dist[a][c] > max(dist[a][b], dist[b][c]):
-                    bound = max(dist[a][b], dist[b][c])
-                    return Violation(points[a], points[b], points[c], dist[a][c], bound)
-    return None
+    dist, points = space.dist, space.points
+    triple = violating_triple_oracle(dist)
+    if triple is None:
+        return None
+    a, b, c = triple
+    return Violation(points[a], points[b], points[c], dist[a][c], max(dist[a][b], dist[b][c]))
 
 
 def center_condition_violation_oracle(space: FiniteMetricSpace, candidate: str):
@@ -341,15 +351,23 @@ def find_center_oracle(space: FiniteMetricSpace):
     return None
 
 
+def four_cycle_oracle(dist):
+    """The quartic scan, on distances or their ranks: the first index quad,
+    in lexicographic order, whose diametrical graph is a 4-cycle, or None."""
+    for quad in combinations(range(len(dist)), 4):
+        if _quad_class(dist, quad)[0] is FourPointClass.K22:
+            return quad
+    return None
+
+
 def forbidden_scan_oracle(space: FiniteMetricSpace):
     """The quartic scan on Fraction distances: the first 4-cycle quad in
     lexicographic order, with its model, or None."""
-    for quad in combinations(range(space.n), 4):
-        if _quad_class(space.dist, quad)[0] is FourPointClass.K22:
-            labels = tuple(space.points[i] for i in quad)
-            model = classify_forbidden(restrict(space, labels)).model
-            return ForbiddenWitness(labels, (2, 2), model)
-    return None
+    quad = four_cycle_oracle(space.dist)
+    if quad is None:
+        return None
+    labels = tuple(space.points[i] for i in quad)
+    return ForbiddenWitness(labels, (2, 2), classify_forbidden(restrict(space, labels)).model)
 
 
 def embeds_weights_oracle(space: FiniteMetricSpace):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from starmetric import S4, X4, Y4
+from starmetric import S4, X4, Y4, cli
 from starmetric.fileio import space_to_json_text
 from helpers import scale
 
@@ -276,3 +276,41 @@ class TestContract:
             second = run_cli(*argv)
             assert first.stdout == second.stdout, argv
             assert first.returncode == second.returncode, argv
+
+
+class TestParserReuse:
+    """``cli.main`` builds its parser once per process, so the options of one
+    in-process call must not reach the next."""
+
+    SAMPLE = ("conjecture", "--which", "k13", "--n", "5", "--alphabet", "1,2,3",
+              "--mode", "sample", "--seed", "3", "--count", "25")
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_options_do_not_leak_into_the_next_parse(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["diagnose", "f", "--dot"]).dot is True
+        assert parser.parse_args(["diagnose", "f"]).dot is False
+        assert parser.parse_args([*self.SAMPLE, "--jobs", "2"]).jobs == 2
+        assert parser.parse_args(list(self.SAMPLE)).jobs == 1
+
+    def test_consecutive_calls_print_what_fresh_processes_print(self, files, capsys):
+        for argv in (
+            ("diagnose", files["S4"], "--dot"),
+            ("diagnose", files["S4"]),
+            (*self.SAMPLE, "--jobs", "2"),
+            self.SAMPLE,
+        ):
+            code = cli.main(list(argv))
+            out, _ = capsys.readouterr()
+            fresh = run_cli(*argv)
+            assert (out, code) == (fresh.stdout, fresh.returncode), argv
+
+    def test_usage_errors_print_what_fresh_processes_print(self, files, capsys):
+        for argv in (("diagnose",), ("conjecture", "--which", "k13"), ("frobnicate",)):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(list(argv))
+            out, err = capsys.readouterr()
+            fresh = run_cli(*argv)
+            assert (out, err, exit_.value.code) == (fresh.stdout, fresh.stderr, fresh.returncode)

@@ -4,7 +4,10 @@ Needs ``hypothesis`` (the ``test`` extra); without it the module is skipped.
 Matrices are small, mix numeral spellings of one value with Python numbers,
 and are valid or broken; the constructor's outcome (ranks and spectrum, or
 the error's type, kind and message) must equal the Fraction oracle's, and so
-must the first violating triple and the center of the valid ones.
+must the first violating triple and the center of the valid ones.  The
+O(n^2) witness searches are compared with the exhaustive scans on larger
+spaces: ultrametrics drawn as ball trees for the first 4-cycle quad, and
+such spaces with one pair redrawn for the first violating triple.
 """
 
 from fractions import Fraction
@@ -14,12 +17,21 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from starmetric import FiniteMetricSpace, NotUltrametricError, find_center  # noqa: E402
-from starmetric.spaces import require_ultrametric  # noqa: E402
+from starmetric import (  # noqa: E402
+    FiniteMetricSpace,
+    NotUltrametricError,
+    find_center,
+    forbidden_scan,
+    rank_matrix,
+)
+from starmetric.decision import _first_four_cycle  # noqa: E402
+from starmetric.spaces import _first_violation, require_ultrametric  # noqa: E402
 from helpers import (  # noqa: E402
     construct_oracle,
     construct_outcome,
     find_center_oracle,
+    forbidden_scan_oracle,
+    four_cycle_oracle,
     outcome,
     scan_violation_oracle,
 )
@@ -85,3 +97,40 @@ def test_violation_and_center_match_the_fraction_oracles(case):
         with pytest.raises(NotUltrametricError) as err:
             require_ultrametric(space)
         assert err.value.violation == expected
+
+
+@st.composite
+def ball_trees(draw):
+    """(points, dist): each point gets an address of three digits below 3,
+    and two points are at distance 4 minus the length of their addresses'
+    common prefix, so points sharing an address are at distance 1."""
+    n = draw(st.integers(4, 11))
+    digits = st.integers(0, 2)
+    addresses = draw(st.lists(st.tuples(digits, digits, digits), min_size=n, max_size=n))
+
+    def distance(x, y):
+        if x is y:
+            return 0
+        return 4 - next((k for k in range(3) if x[k] != y[k]), 3)
+
+    return [f"p{k}" for k in range(n)], [[distance(x, y) for y in addresses] for x in addresses]
+
+
+@PROFILE
+@given(ball_trees())
+def test_first_four_cycle_matches_the_quartic_scan(case):
+    space = FiniteMetricSpace(*case)
+    assert _first_four_cycle(rank_matrix(space)) == four_cycle_oracle(rank_matrix(space))
+    assert forbidden_scan(space) == forbidden_scan_oracle(space)
+
+
+@PROFILE
+@given(ball_trees(), st.data())
+def test_first_violation_matches_the_cubic_scan(case, data):
+    points, dist = case
+    n = len(points)
+    i = data.draw(st.integers(0, n - 2))
+    j = data.draw(st.integers(i + 1, n - 1))
+    dist[i][j] = dist[j][i] = data.draw(st.sampled_from((Fraction(1, 2), 1, Fraction(5, 2), 4, 5)))
+    space = FiniteMetricSpace(points, dist)
+    assert _first_violation(space) == scan_violation_oracle(space)
