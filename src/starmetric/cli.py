@@ -210,7 +210,11 @@ def main(argv=None) -> int:
     except StarmetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its message, quotes included
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,13 +4,14 @@ Two independent criteria decide whether a finite ultrametric space is
 generated by a labeled star: existence of a center (a point at least as
 close to every other point as anything else is) and absence of a four-point
 subspace whose diametrical graph is a 4-cycle.  For finite spaces these are
-provably equivalent, so :func:`diagnose` runs both and treats any
-disagreement as a fatal internal bug rather than picking a side.  The
-4-cycle criterion reads off the ball tree (the single-linkage dendrogram of
-a minimum spanning tree): a quad is a 4-cycle exactly when its smallest
-enclosing ball splits it 2+2, so one exists iff some ball has two children
-of two or more points each.  Naming the lexicographically first such quad
-takes O(n^2) rank comparisons too, without visiting the C(n, 4) quads.
+provably equivalent, so :func:`diagnose` runs both legs and treats any
+disagreement as a fatal internal bug rather than picking a side.  Both legs
+read each point's nearest-neighbour rank, memoised on the space: the center
+leg looks for a point at exactly that rank from every other point, and the
+far-pair leg for a pair farther apart than both its points' nearest
+neighbours, which is exactly when a 4-cycle quad exists.  Naming the
+lexicographically first such quad takes O(n^2) rank comparisons too,
+without visiting the C(n, 4) quads.
 
 The module also hosts the shift transforms (subtracting or adding a constant
 to every positive distance, which preserves ultrametricity and every
@@ -23,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import groupby
+from itertools import compress
+from operator import gt, le
 from typing import Optional, Sequence
 
 from . import similarity
@@ -31,7 +33,7 @@ from .errors import InternalCheckError
 from .rationals import RationalLike, format_rational, parse_rational
 from .spaces import (
     FiniteMetricSpace,
-    _mst_edges,
+    _nearest,
     min_positive_distance,
     rank_matrix,
     require_ultrametric,
@@ -76,49 +78,31 @@ def find_center(space: FiniteMetricSpace) -> Optional[CenterWitness]:
 
     A center x0 satisfies d(x0, x) <= d(y, x) for every x != x0 and y != x,
     that is, d(x0, x) is the nearest-neighbour distance of every other x.
-    With those distances computed once, on ranks, the search is O(n^2).
+    On the ranks memoised on the space the search is O(n^2): only the
+    diagonal 0 is below a nearest rank, so a center's row nowhere exceeds them.
     """
     require_ultrametric(space)
-    ranks = rank_matrix(space)
-    n = space.n
-    nearest = [min(row[:i] + row[i + 1:], default=None) for i, row in enumerate(ranks)]
-    for c, row in enumerate(ranks):
-        if all(x == c or row[x] == nearest[x] for x in range(n)):
+    nearest = _nearest(space)
+    for c, row in enumerate(rank_matrix(space)):
+        if all(map(le, row, nearest)):
             return CenterWitness(space.points[c])
     return None
 
 
-def _has_forbidden_ball(space: FiniteMetricSpace) -> bool:
-    """Whether some ball has two children of two or more points each.
+def _has_far_pair(space: FiniteMetricSpace) -> bool:
+    """Whether some pair is farther apart than each point is from its nearest
+    neighbour, which in an ultrametric space holds iff a 4-cycle quad exists.
 
-    Balls form by union-find over the minimum spanning tree's edges, a
-    weight at a time: the components that the edges of weight w merge are
-    the children of one new ball of diameter w.  O(n^2) for the tree plus
-    O(n log n) here.
+    Such a pair (a, b) with nearest neighbours a' and b' is a 4-cycle
+    {a, a'} + {b, b'}; conversely each part of a 4-cycle holds a point whose
+    nearest neighbour is closer than the diameter.  One pass per row: the
+    largest d(a, b) over the b with d(a, b) > nn(b) is compared with nn(a).
     """
-    root = list(range(space.n))
-    size = [1] * space.n
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = x = root[root[x]]
-        return x
-
-    edges = sorted(_mst_edges(rank_matrix(space)), key=lambda edge: edge[2])
-    for _, level in groupby(edges, key=lambda edge: edge[2]):
-        level = list(level)
-        # the children merged at this level, with their sizes before merging
-        children = {r: size[r] for r in (find(x) for v, p, _ in level for x in (v, p))}
-        for v, p, _ in level:
-            a, b = find(v), find(p)
-            if size[a] < size[b]:
-                a, b = b, a
-            root[b] = a
-            size[a] += size[b]
-        balls = [find(c) for c, k in children.items() if k >= 2]
-        if len(balls) != len(set(balls)):
-            return True
-    return False
+    nearest = _nearest(space)
+    return any(
+        max(compress(row, map(gt, row, nearest)), default=0) > nearest[a]
+        for a, row in enumerate(rank_matrix(space))
+    )
 
 
 def _first_four_cycle(ranks) -> Optional[tuple[int, int, int, int]]:
@@ -177,28 +161,29 @@ def forbidden_scan(space: FiniteMetricSpace) -> Optional[ForbiddenWitness]:
 def diagnose(space: FiniteMetricSpace) -> DiagnosisReport:
     """Run both membership criteria and assert they agree.
 
-    The center route (:func:`find_center`) and the ball-tree route (a ball
-    with two non-singleton children) are both O(n^2).  For finite
-    ultrametric spaces a center exists iff no such ball does; disagreement
-    can only mean an implementation bug and is raised loudly instead of
-    being resolved silently.  Only a FORBIDDEN verdict runs the O(n^2)
-    :func:`forbidden_scan`, for the lexicographically first witness quad,
-    and a scan that finds none is a bug as well.
+    The center leg (:func:`find_center`) and the far-pair leg (a pair farther
+    apart than both points' nearest neighbours, :func:`_has_far_pair`) are
+    both O(n^2) on the nearest-neighbour ranks the space memoises.  For
+    finite ultrametric spaces a center exists iff no such pair does;
+    disagreement can only mean an implementation bug and is raised loudly
+    instead of being resolved silently.  Only a FORBIDDEN verdict runs the
+    O(n^2) :func:`forbidden_scan`, for the lexicographically first witness
+    quad, and a scan that finds none is a bug as well.
     """
     require_ultrametric(space)
     center = find_center(space)
-    forbidden = _has_forbidden_ball(space)
+    forbidden = _has_far_pair(space)
     if (center is None) != forbidden:
         raise InternalCheckError(
             "membership criteria disagree: "
-            f"center={center}, forbidden ball={forbidden}; this is a bug"
+            f"center={center}, far pair={forbidden}; this is a bug"
         )
     if center is not None:
         return DiagnosisReport(Verdict.US, center, None)
     witness = forbidden_scan(space)
     if witness is None:
         raise InternalCheckError(
-            "the ball tree has a ball with two non-singleton children but "
+            "a pair is farther apart than both points' nearest neighbours but "
             "forbidden_scan found no 4-cycle quad; this is a bug"
         )
     return DiagnosisReport(Verdict.FORBIDDEN, None, witness)
@@ -270,13 +255,15 @@ def dplus_space(values: Sequence[RationalLike]) -> FiniteMetricSpace:
 def embeds_in_dplus(space: FiniteMetricSpace) -> Optional[dict[str, Fraction]]:
     """Injective weights w with d(x, y) = max(w(x), w(y)), or None.
 
-    Decision procedure, on ranks: each point's candidate weight is its row
-    minimum.  In an embeddable space that recovers the true weight of every
-    point except the bottom one, whose candidate collides with the second
-    weight.  The minimum positive distance must then be attained by exactly
-    one pair; the lexicographically smaller member of that pair is
-    reassigned half that minimum, below every other weight (rank 0 stands
-    for it), and the max equation is verified before the weights are
+    Decision procedure, on ranks: each point's candidate weight is its
+    nearest-neighbour rank.  In an embeddable space that recovers the true
+    weight of every point except the bottom one, whose candidate collides
+    with the second weight.  The minimum positive distance must then be
+    attained by exactly one pair; the first point at that distance from its
+    nearest neighbour, the pair's smaller member, is reassigned half that
+    minimum, below every other weight (rank 0 stands for it).  A second
+    such pair leaves two equal weights, which the injectivity check
+    rejects, and the max equation is verified before the weights are
     mapped back to values.
     """
     require_ultrametric(space)
@@ -284,17 +271,9 @@ def embeds_in_dplus(space: FiniteMetricSpace) -> Optional[dict[str, Fraction]]:
     if n == 1:
         return {space.points[0]: Fraction(1)}
     ranks = rank_matrix(space)
-    weights = [min(row[:i] + row[i + 1:]) for i, row in enumerate(ranks)]
+    weights = list(_nearest(space))
     floor = min(weights)
-    attaining = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if ranks[i][j] == floor
-    ]
-    if len(attaining) != 1:
-        return None
-    bottom = attaining[0][0]
+    bottom = weights.index(floor)
     weights[bottom] = 0
     if len(set(weights)) != n:
         return None

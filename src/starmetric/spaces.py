@@ -10,11 +10,12 @@ reports the first violating triple.
 Construction parses each distinct numeral text once and ranks the distinct
 values once, exactly, so a space holds its spectrum and its int rank matrix
 from the start; the structural checks and every order-only kernel (the
-ultrametric check, the center, the ball tree, the four-point classes) read
-the ranks, and ``Fraction`` values serve output, sums and shifts.  Spaces are
-immutable and operations return new values.  The first strong-triangle
-violation is found once per space, on first use; it is a pure function of
-the immutable matrix, so concurrent use still needs no locks.  Tie-breaking
+ultrametric check, the nearest neighbours, the center, the four-point
+classes) read the ranks, and ``Fraction`` values serve output, sums and
+shifts.  Spaces are immutable and operations return new values.  The first
+strong-triangle violation and each point's nearest-neighbour rank are found
+once per space, on first use; they are pure functions of the immutable
+matrix, so concurrent use still needs no locks.  Tie-breaking
 is always lexicographic in the stored point order, making every operation
 deterministic.
 """
@@ -33,7 +34,7 @@ class FiniteMetricSpace:
     """Ordered point labels plus an exact symmetric distance matrix, with the
     matrix's spectrum and int rank matrix."""
 
-    __slots__ = ("points", "dist", "_pos", "_violation", "_spectrum", "_rank_matrix")
+    __slots__ = ("points", "dist", "_pos", "_violation", "_nearest_ranks", "_spectrum", "_rank_matrix")
 
     def __init__(self, points: Sequence[str], dist: Sequence[Sequence[RationalLike]]):
         pts = tuple(points)
@@ -107,9 +108,10 @@ class FiniteMetricSpace:
         self._pos = {p: i for i, p in enumerate(points)}
         self._rank_matrix = ranks
         self._spectrum = spec
-        # the first strong-triangle violation, found on first use; equality
-        # and hashing ignore it and the order data
+        # the first strong-triangle violation and the nearest-neighbour ranks,
+        # found on first use; equality and hashing ignore them and the order data
         self._violation = False  # not yet checked, then None or a Violation
+        self._nearest_ranks = None
 
     @property
     def n(self) -> int:
@@ -392,6 +394,16 @@ def _scan_violation(space: FiniteMetricSpace) -> Violation:
     )
 
 
+def _nearest(space: FiniteMetricSpace) -> tuple[int, ...]:
+    """Each point's nearest-neighbour rank, the smallest off-diagonal rank of
+    its row (0 for a singleton), computed once per space.  Rank 0 is the
+    diagonal and nothing else, so dropping the zeros drops the diagonal."""
+    if space._nearest_ranks is None:
+        ranks = space._rank_matrix
+        space._nearest_ranks = tuple(min(filter(None, row), default=0) for row in ranks)
+    return space._nearest_ranks
+
+
 def validate(space: FiniteMetricSpace) -> UltraDiagnosis:
     """Check the strong triangle inequality over every ordered triple.
 
@@ -464,19 +476,18 @@ def restrict(space: FiniteMetricSpace, subset: Iterable[str]) -> FiniteMetricSpa
 
 def min_pair(space: FiniteMetricSpace) -> Optional[tuple[str, str, Fraction]]:
     """First pair (in lexicographic point order) attaining the minimum
-    positive distance; None for a singleton."""
-    n = space.n
-    if n < 2:
+    positive distance; None for a singleton.
+
+    Its first point is the first whose nearest-neighbour rank is the floor,
+    and its second is that point's first neighbour at the floor: a point
+    before either would be a member of an earlier such pair."""
+    if space.n < 2:
         return None
-    ranks = space._rank_matrix
-    best = None
-    arg = (0, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if best is None or ranks[i][j] < best:
-                best = ranks[i][j]
-                arg = (i, j)
-    return (space.points[arg[0]], space.points[arg[1]], space._spectrum.values[best])
+    nearest = _nearest(space)
+    floor = min(nearest)
+    i = nearest.index(floor)
+    j = space._rank_matrix[i].index(floor)
+    return (space.points[i], space.points[j], space._spectrum.values[floor])
 
 
 def swap_isometry(space: FiniteMetricSpace, x1: str, x2: str) -> dict[str, str]:

@@ -14,12 +14,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import le
 from typing import Mapping, Optional, Sequence
 
 from .diametrical import _dot
-from .errors import CenterViolationError, DegenerateLabelingError
+from .errors import CenterViolationError, DegenerateLabelingError, InternalCheckError
 from .rationals import RationalLike, format_rational, parse_rational
-from .spaces import FiniteMetricSpace, rank_matrix, require_ultrametric
+from .spaces import FiniteMetricSpace, _nearest, rank_matrix, require_ultrametric
 
 
 @dataclass(frozen=True)
@@ -250,14 +251,14 @@ def center_condition_violation(
 
     A point with no such pair is a valid star center: it is at least as
     close to every other point as anything else is.  Compared on ranks: one
-    pass accepts when d(candidate, x) is the nearest-neighbour distance of
-    every other x, and only a rejected candidate pays for the ordered pairs.
+    pass accepts when d(candidate, x) is the memoised nearest-neighbour
+    distance of every other x, and only a rejected candidate pays for the
+    ordered pairs.
     """
     c = space.index(candidate)
     n = space.n
     dist = rank_matrix(space)
-    row_c = dist[c]
-    if all(x == c or row_c[x] == min(row[:x] + row[x + 1:]) for x, row in enumerate(dist)):
+    if all(map(le, dist[c], _nearest(space))):
         return None
     for a in range(n):
         if a == c:
@@ -267,7 +268,10 @@ def center_condition_violation(
                 continue
             if dist[c][b] > dist[a][b]:
                 return (space.points[b], space.points[a])
-    return None
+    raise InternalCheckError(
+        f"{candidate} failed the nearest-neighbour test but no pair violates "
+        "the center condition; this is a bug"
+    )
 
 
 def star_from_center(space: FiniteMetricSpace, x0: str) -> LabeledStarGraph:

@@ -144,6 +144,7 @@ class TestStar:
     def test_unknown_center_is_usage_error(self, files):
         result = run_cli("star", files["S4"], "--center", "nope")
         assert result.returncode == 2
+        assert result.stderr == "error: unknown point label 'nope'\n"
 
 
 class TestScan:

@@ -41,7 +41,7 @@ from starmetric import (
     validate,
 )
 from starmetric import spaces
-from starmetric.decision import _has_forbidden_ball
+from starmetric.decision import _has_far_pair
 from starmetric.stars import center_condition_violation
 from helpers import embeds_oracle, random_star, sample_space
 
@@ -126,14 +126,14 @@ class TestForbiddenScan:
             assert (forbidden_scan(space) is not None) == (sizes == (2, 2))
 
 
-class TestBallTree:
+class TestFarPair:
     def test_agrees_with_forbidden_scan_exhaustively_at_n5(self):
         spaces = exhaustive_n5()
         assert len(spaces) == 1304
         forbidden = 0
         for space in spaces:
             expected = forbidden_scan(space) is not None
-            assert _has_forbidden_ball(space) == expected
+            assert _has_far_pair(space) == expected
             forbidden += expected
         assert 0 < forbidden < len(spaces)
 
@@ -141,7 +141,7 @@ class TestBallTree:
         forbidden = 0
         for space in seeded_n9():
             expected = forbidden_scan(space) is not None
-            assert _has_forbidden_ball(space) == expected
+            assert _has_far_pair(space) == expected
             forbidden += expected
         assert 0 < forbidden < 300
 
@@ -421,3 +421,31 @@ class TestUltrametricGuard:
         assert report.verdict is Verdict.US
         star_from_center(space, report.center.center)
         assert calls == [space.n]
+
+    def test_diagnose_then_star_fills_the_nearest_memo_once(self, monkeypatch):
+        fills, trees = [], []
+        memo = FiniteMetricSpace._nearest_ranks
+        mst_edges = spaces._mst_edges
+
+        class CountedMemo:
+            """The memo's slot, counting each write of a filled memo."""
+
+            def __get__(self, space, owner):
+                return memo.__get__(space, owner)
+
+            def __set__(self, space, value):
+                if value is not None:
+                    fills.append(value)
+                memo.__set__(space, value)
+
+        def counted(dist):
+            trees.append(len(dist))
+            return mst_edges(dist)
+
+        monkeypatch.setattr(FiniteMetricSpace, "_nearest_ranks", CountedMemo())
+        monkeypatch.setattr(spaces, "_mst_edges", counted)
+        space = star_metric(random_star(random.Random(75), max_leaves=20))
+        report = diagnose(space)
+        assert report.verdict is Verdict.US
+        star_from_center(space, report.center.center)
+        assert len(fills) == 1 and trees == [space.n]

@@ -4,12 +4,16 @@ Needs ``hypothesis`` (the ``test`` extra); without it the module is skipped.
 Matrices are small, mix numeral spellings of one value with Python numbers,
 and are valid or broken; the constructor's outcome (ranks and spectrum, or
 the error's type, kind and message) must equal the Fraction oracle's, and so
-must the first violating triple and the center of the valid ones.  The
-O(n^2) witness searches are compared with the exhaustive scans on larger
-spaces: ultrametrics drawn as ball trees for the first 4-cycle quad, and
-such spaces with one pair redrawn for the first violating triple.
+must the first violating triple and the center of the valid ones, and each
+valid space must come back equal from its JSON and CSV text.  The O(n^2)
+searches are compared with the exhaustive scans on larger spaces:
+ultrametrics drawn as ball trees for the first 4-cycle quad and the
+far-pair test, and such spaces with one pair redrawn for the first
+violating triple.
 """
 
+import csv
+import io
 from fractions import Fraction
 
 import pytest
@@ -23,8 +27,10 @@ from starmetric import (  # noqa: E402
     find_center,
     forbidden_scan,
     rank_matrix,
+    spectrum,
 )
-from starmetric.decision import _first_four_cycle  # noqa: E402
+from starmetric.decision import _first_four_cycle, _has_far_pair  # noqa: E402
+from starmetric.fileio import parse_space_text, space_to_json_text  # noqa: E402
 from starmetric.spaces import _first_violation, require_ultrametric  # noqa: E402
 from helpers import (  # noqa: E402
     construct_oracle,
@@ -99,6 +105,23 @@ def test_violation_and_center_match_the_fraction_oracles(case):
         assert err.value.violation == expected
 
 
+@PROFILE
+@given(matrices())
+def test_json_and_csv_round_trips_keep_the_space(case):
+    try:
+        space = FiniteMetricSpace(*case)
+    except ValueError:
+        return
+    data = space.to_dict()
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([data["points"]] + data["dist"])
+    for text, kind in ((space_to_json_text(space), "json"), (buffer.getvalue(), "csv")):
+        back = parse_space_text(text, kind)
+        assert back == space
+        assert spectrum(back) == spectrum(space)
+        assert rank_matrix(back) == rank_matrix(space)
+
+
 @st.composite
 def ball_trees(draw):
     """(points, dist): each point gets an address of three digits below 3,
@@ -122,6 +145,13 @@ def test_first_four_cycle_matches_the_quartic_scan(case):
     space = FiniteMetricSpace(*case)
     assert _first_four_cycle(rank_matrix(space)) == four_cycle_oracle(rank_matrix(space))
     assert forbidden_scan(space) == forbidden_scan_oracle(space)
+
+
+@PROFILE
+@given(ball_trees())
+def test_far_pair_matches_the_quartic_scan(case):
+    space = FiniteMetricSpace(*case)
+    assert _has_far_pair(space) == (four_cycle_oracle(rank_matrix(space)) is not None)
 
 
 @PROFILE

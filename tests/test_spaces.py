@@ -234,6 +234,16 @@ class TestMinPair:
     def test_singleton_has_none(self):
         assert min_pair(FiniteMetricSpace(("p",), [[0]])) is None
 
+    def test_agrees_with_the_pair_scan(self):
+        rng = random.Random(31)
+        for seed in range(200):
+            space = sample_space(n=2 + seed % 9, seed=7000 + seed)
+            # shuffled point order moves the first minimum pair around
+            space = restrict(space, rng.sample(space.points, space.n))
+            n, dist = space.n, space.dist
+            i, j = min(((i, j) for i in range(n) for j in range(i + 1, n)), key=lambda p: dist[p[0]][p[1]])
+            assert min_pair(space) == (space.points[i], space.points[j], dist[i][j])
+
 
 class TestSwapIsometry:
     def test_x4_min_pair_swaps(self):

@@ -9,6 +9,7 @@ from starmetric import (
     CenterViolationError,
     DegenerateLabelingError,
     E4,
+    InternalCheckError,
     LabeledStarGraph,
     LabeledTree,
     S4,
@@ -25,6 +26,7 @@ from starmetric import (
     validate,
     Verdict,
 )
+from starmetric.stars import center_condition_violation
 from helpers import random_star
 
 
@@ -169,6 +171,12 @@ class TestStarFromCenter:
         with pytest.raises(CenterViolationError) as err:
             star_from_center(X4, "x1")
         assert err.value.pair == ("x4", "x2")
+
+    def test_a_wrong_nearest_memo_raises_instead_of_accepting(self):
+        space = restrict(S4, S4.points)  # a fresh copy, with its own memo
+        space._nearest_ranks = (0,) * space.n
+        with pytest.raises(InternalCheckError):
+            center_condition_violation(space, "s1")
 
     def test_round_trip_on_random_stars(self):
         rng = random.Random(23)
