@@ -10,8 +10,8 @@ star-generated spaces.
 
 On four points the class is read straight off the sub-diameter pairs, the
 graph's non-edges, by one private classifier that the four-point class, the
-forbidden-quad scan and the conjecture checks (both on the parent space's
-int ranks) and the X4/Y4 model split all share; no graph is built.
+forbidden-quad scan, the conjecture checks and the X4/Y4 model split all
+share on int ranks; no graph is built, and no ``Fraction`` is compared.
 In a general complete multipartite graph, each vertex's part is its closed
 non-neighbourhood."""
 
@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import NotCompleteMultipartiteError
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, rank_matrix, spectrum
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,8 @@ def diametrical_graph(space: FiniteMetricSpace) -> SimpleGraph:
     n = space.n
     if n < 2:
         raise ValueError("the diametrical graph needs at least two points")
-    dist = space.dist
-    diam = max(dist[i][j] for i in range(n) for j in range(i + 1, n))
+    dist = rank_matrix(space)
+    diam = len(spectrum(space).values) - 1
     edges = [
         (space.points[i], space.points[j])
         for i in range(n)
@@ -129,8 +129,7 @@ def _quad_class(
     values = (ra[b], ra[c], ra[e], rb[c], rb[e], dist[c][e])
     diam = max(values)
     pairs = ((a, b), (a, c), (a, e), (b, c), (b, e), (c, e))
-    # the identity test spares the diameter entry a Fraction comparison
-    low = [pair for pair, value in zip(pairs, values) if value is not diam and value < diam]
+    low = [pair for pair, value in zip(pairs, values) if value < diam]
     if len(low) == 2:
         (p, q), (r, s) = low
         # p != s already: pairs list in quad order, so p precedes r, which precedes s
@@ -153,7 +152,7 @@ def classify_four_point(space: FiniteMetricSpace) -> FourPointClass:
     """
     if space.n != 4:
         raise ValueError(f"four-point classification got {space.n} points")
-    return _require_quad_class(space.dist, (0, 1, 2, 3))
+    return _require_quad_class(rank_matrix(space), (0, 1, 2, 3))
 
 
 def _require_quad_class(dist: Sequence[Sequence], quad: Sequence[int]) -> FourPointClass:

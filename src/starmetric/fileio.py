@@ -12,9 +12,10 @@ CSV, a header row of labels followed by the matrix::
     0,3
     3,0
 
-Entries are integer strings ("3"), fraction strings ("1/2"), or exact
-decimal strings ("0.5").  Symmetry and the zero diagonal are validated on
-load; an asymmetric entry is reported with the offending label pair.
+Files are read as UTF-8 whatever the locale.  Entries are integer strings
+("3"), fraction strings ("1/2"), or exact decimal strings ("0.5").  Symmetry
+and the zero diagonal are validated on load; an asymmetric entry is reported
+with the offending label pair.
 """
 
 from __future__ import annotations
@@ -33,12 +34,15 @@ class ParseError(StarmetricError, ValueError):
     """Malformed input file, with position information where available."""
 
 
-def space_from_json_text(text: str) -> FiniteMetricSpace:
+def _load_json(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return FiniteMetricSpace.from_dict(data)
+
+
+def space_from_json_text(text: str) -> FiniteMetricSpace:
+    return FiniteMetricSpace.from_dict(_load_json(text))
 
 
 def space_from_csv_text(text: str) -> FiniteMetricSpace:
@@ -61,16 +65,20 @@ def parse_space_text(text: str, kind: str | None = None) -> FiniteMetricSpace:
     raise ParseError(f"unknown space format {kind!r}")
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from exc
+
+
 def parse_space_file(path: str | Path) -> FiniteMetricSpace:
     """Load a space from a JSON or CSV file (chosen by extension, else sniffed)."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    suffix = path.suffix.lower()
-    kind = {".json": "json", ".csv": "csv"}.get(suffix)
-    return parse_space_text(text, kind)
+    kind = {".json": "json", ".csv": "csv"}.get(path.suffix.lower())
+    return parse_space_text(_read_text(path), kind)
 
 
 def space_to_json_text(space: FiniteMetricSpace) -> str:
@@ -78,14 +86,7 @@ def space_to_json_text(space: FiniteMetricSpace) -> str:
 
 
 def parse_star_file(path: str | Path) -> LabeledStarGraph:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return LabeledStarGraph.from_dict(data)
+    return LabeledStarGraph.from_dict(_load_json(_read_text(Path(path))))
 
 
 def star_to_json_text(star: LabeledStarGraph) -> str:

@@ -222,7 +222,8 @@ def classify_forbidden(space: FiniteMetricSpace) -> QuadModel:
     if space.n != 4:
         raise ValueError(f"forbidden-quad classification got {space.n} points")
     require_ultrametric(space)
-    cls, low = _quad_class(space.dist, (0, 1, 2, 3))
+    ranks = rank_matrix(space)
+    cls, low = _quad_class(ranks, (0, 1, 2, 3))
     if cls is not FourPointClass.K22:
         # each class is named by its sorted part sizes, as in "K112"
         sizes = None if cls is None else tuple(map(int, cls.value[1:]))
@@ -231,8 +232,7 @@ def classify_forbidden(space: FiniteMetricSpace) -> QuadModel:
             f"got {sizes}"
         )
     (p1, p3), (p2, p4) = ((space.points[i], space.points[j]) for i, j in low)
-    chord_a = space.d(p1, p3)
-    chord_b = space.d(p2, p4)
+    chord_a, chord_b = (ranks[i][j] for i, j in low)
     if chord_a == chord_b:
         model, target = "Y4", Y4
         phi = {p1: "y1", p2: "y2", p3: "y3", p4: "y4"}

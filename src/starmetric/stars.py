@@ -100,9 +100,9 @@ class LabeledTree:
 class LabeledStarGraph:
     """One center adjacent to every leaf, with a label on every vertex.
 
-    ``order`` is the vertex sequence used when the star is turned into a
-    metric space; it defaults to center-first but is preserved verbatim by
-    :func:`star_from_center` so round trips reproduce matrices bit-exactly.
+    ``order`` is the vertex sequence of :func:`star_metric`: center first from
+    :meth:`build`, the space's point order from :func:`star_from_center`, so
+    round trips reproduce matrices bit-exactly.
     """
 
     center: str
@@ -121,7 +121,6 @@ class LabeledStarGraph:
         center: str,
         center_label: RationalLike,
         leaf_labels: Mapping[str, RationalLike],
-        order: Optional[Sequence[str]] = None,
     ) -> "LabeledStarGraph":
         c_label = parse_rational(center_label)
         if c_label < 0:
@@ -129,8 +128,6 @@ class LabeledStarGraph:
         leaves = tuple(leaf_labels)
         if center in leaves:
             raise ValueError("center cannot also be a leaf")
-        if len(set(leaves)) != len(leaves):
-            raise ValueError("leaf labels must be unique")
         values = []
         for leaf in leaves:
             value = parse_rational(leaf_labels[leaf])
@@ -139,13 +136,7 @@ class LabeledStarGraph:
             if value == 0 and c_label == 0:
                 raise DegenerateLabelingError((center, leaf))
             values.append(value)
-        if order is None:
-            order = (center,) + leaves
-        else:
-            order = tuple(order)
-            if sorted(order) != sorted((center,) + leaves):
-                raise ValueError("order must list the center and every leaf exactly once")
-        return cls(center, c_label, leaves, tuple(values), order)
+        return cls(center, c_label, leaves, tuple(values))
 
     def leaf_label(self, leaf: str) -> Fraction:
         return self.leaf_labels[self.leaves.index(leaf)]
@@ -279,7 +270,8 @@ def star_from_center(space: FiniteMetricSpace, x0: str) -> LabeledStarGraph:
 
     The center keeps label 0 and every other point x becomes a leaf labeled
     d(x, x0).  Feeding the result back through :func:`star_metric` returns
-    the input space bit-exactly.
+    the input space bit-exactly.  The leaf labels are the center's row of the
+    checked matrix, positive and already exact, so nothing is parsed again.
     """
     require_ultrametric(space)
     c = space.index(x0)
@@ -292,8 +284,10 @@ def star_from_center(space: FiniteMetricSpace, x0: str) -> LabeledStarGraph:
             f"{x0} is not a star center: d({x0},{x}) = {space.d(x0, x)} > "
             f"d({y},{x}) = {space.d(y, x)}",
         )
-    leaf_labels = {p: space.dist[c][i] for i, p in enumerate(space.points) if i != c}
-    return LabeledStarGraph.build(x0, 0, leaf_labels, order=space.points)
+    points, row = space.points, space.dist[c]
+    return LabeledStarGraph(
+        x0, Fraction(0), points[:c] + points[c + 1:], row[:c] + row[c + 1:], points
+    )
 
 
 def star_center(tree: LabeledTree) -> Optional[str]:
@@ -326,4 +320,8 @@ def tree_to_dot(tree: LabeledTree) -> str:
 
 
 def star_to_dot(star: LabeledStarGraph) -> str:
-    return tree_to_dot(star.to_tree())
+    """Graphviz text for a labeled star, as :func:`tree_to_dot` writes its tree."""
+    vertices = (star.center,) + star.leaves
+    values = (star.center_label,) + star.leaf_labels
+    labels = {v: f"{v}:{format_rational(x)}" for v, x in zip(vertices, values)}
+    return _dot(vertices, [(star.center, leaf) for leaf in star.leaves], labels)

@@ -1,14 +1,16 @@
 """End-to-end CLI behavior: reports, exit codes, determinism."""
 
 import json
+import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from starmetric import S4, X4, Y4, cli
+from starmetric import S4, X4, Y4, LabeledStarGraph, LabeledTree, cli, restrict, star_metric, stars
 from starmetric.fileio import space_to_json_text
-from helpers import scale
+from helpers import random_star, scale
 
 
 def run_cli(*argv, check=False):
@@ -259,6 +261,30 @@ class TestContract:
     def test_missing_file_is_usage_error(self):
         assert run_cli("diagnose", "/nonexistent.json").returncode == 2
 
+    def test_files_are_read_as_utf8_whatever_the_locale(self, tmp_path):
+        path = tmp_path / "accents.json"
+        space = {"points": ["é", "b", "c"], "dist": [["0", "1", "2"], ["1", "0", "2"], ["2", "2", "0"]]}
+        path.write_text(json.dumps(space, ensure_ascii=False), encoding="utf-8")
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+        env.pop("PYTHONIOENCODING", None)
+        c_locale = subprocess.run(
+            [sys.executable, "-m", "starmetric", "diagnose", str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        default = run_cli("diagnose", str(path))
+        assert default.returncode == 0 and '"center": "\\u00e9"' in default.stdout
+        assert (c_locale.stdout, c_locale.stderr, c_locale.returncode) == (
+            default.stdout, default.stderr, default.returncode
+        )
+
+    def test_undecodable_file_is_usage_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "bom16.json"
+        path.write_bytes(b"\xff\xfe")
+        result = run_cli("diagnose", str(path))
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith(f"error: cannot read {path}: not UTF-8 text")
+        assert "Traceback" not in result.stderr
+
     def test_documented_commands_are_byte_deterministic(self, files):
         battery = [
             ("validate", files["S4"]),
@@ -315,3 +341,34 @@ class TestParserReuse:
             out, err = capsys.readouterr()
             fresh = run_cli(*argv)
             assert (out, err, exit_.value.code) == (fresh.stdout, fresh.stderr, fresh.returncode)
+
+
+class TestStarRoute:
+    """A US verdict's star is read off the center's row and drawn from its
+    own edges: no label is parsed again and no tree is built."""
+
+    def test_star_output_needs_no_rebuild(self, files, tmp_path, monkeypatch, capsys):
+        # hubs placed last, and point names that DOT must escape
+        star = LabeledStarGraph.build('h"1', 1, {"x\\": 2, "y\nz": 3, "w": "1/2"})
+        paths = [files["S4"]]
+        rng = random.Random(41)
+        for k, space in enumerate((star_metric(star), star_metric(random_star(rng)))):
+            path = tmp_path / f"star{k}.json"
+            path.write_text(space_to_json_text(restrict(space, sorted(space.points, reverse=True))))
+            paths.append(str(path))
+        argvs = [(cmd, path, "--dot") for path in paths for cmd in ("diagnose", "star")]
+        unpatched = []
+        for argv in argvs:
+            code = cli.main(list(argv))
+            unpatched.append((code, *capsys.readouterr()))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the star route rebuilt or re-parsed the star")
+
+        monkeypatch.setattr(LabeledTree, "build", refuse)
+        monkeypatch.setattr(LabeledStarGraph, "build", refuse)
+        monkeypatch.setattr(stars, "parse_rational", refuse)
+        for argv, expected in zip(argvs, unpatched):
+            code = cli.main(list(argv))
+            assert (code, *capsys.readouterr()) == expected, argv
+            assert code == 0, argv

@@ -181,7 +181,7 @@ class TestDiagnose:
         smallest = labels.index(min(labels))
         leaves = {f"v{k}": Fraction(value, 3) for k, value in enumerate(labels)}
         order = [f"v{k}" for k in range(255) if k != smallest] + [f"v{smallest}", "hub"]
-        space = star_metric(LabeledStarGraph.build("hub", 1, leaves, order=order))
+        space = restrict(star_metric(LabeledStarGraph.build("hub", 1, leaves)), order)
         report = diagnose(space)
         assert report.verdict is Verdict.US
         assert report.center.center == f"v{smallest}" == first_center_oracle(space)

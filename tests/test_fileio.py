@@ -1,5 +1,6 @@
 """Space and star file parsing, serialization round trips."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -132,3 +133,15 @@ class TestStarFiles:
         )
         assert star.leaves == ("b", "a")
         assert star_to_json_text(star).index('"b"') < star_to_json_text(star).index('"a"')
+
+
+@pytest.mark.parametrize("parse", [parse_space_file, parse_star_file])
+def test_files_are_utf8_and_other_bytes_are_a_parse_error(tmp_path, parse):
+    good, bad = tmp_path / "good.json", tmp_path / "latin1.json"
+    text = '{"center": "é", "leaves": {"b": "1"}, "points": ["é"], "dist": [["0"]]}'
+    good.write_bytes(text.encode("utf-8"))
+    bad.write_bytes(text.encode("latin-1"))
+    loaded = parse(good)
+    assert (loaded.center if parse is parse_star_file else loaded.points[0]) == "é"
+    with pytest.raises(ParseError, match=re.escape(f"cannot read {bad}: not UTF-8 text")):
+        parse(bad)

@@ -9,7 +9,9 @@ valid space must come back equal from its JSON and CSV text.  The O(n^2)
 searches are compared with the exhaustive scans on larger spaces:
 ultrametrics drawn as ball trees for the first 4-cycle quad and the
 far-pair test, and such spaces with one pair redrawn for the first
-violating triple.
+violating triple.  The conjecture checks, which read each quad off the
+space's rank matrix, are compared on the same ball trees with the oracle
+that builds every quad as a subspace.
 """
 
 import csv
@@ -30,9 +32,11 @@ from starmetric import (  # noqa: E402
     spectrum,
 )
 from starmetric.decision import _first_four_cycle, _has_far_pair  # noqa: E402
+from starmetric.lab import check_equidistant, check_k13_conjecture, check_k112_conjecture  # noqa: E402
 from starmetric.fileio import parse_space_text, space_to_json_text  # noqa: E402
 from starmetric.spaces import _first_violation, require_ultrametric  # noqa: E402
 from helpers import (  # noqa: E402
+    conjecture_oracle,
     construct_oracle,
     construct_outcome,
     find_center_oracle,
@@ -152,6 +156,15 @@ def test_first_four_cycle_matches_the_quartic_scan(case):
 def test_far_pair_matches_the_quartic_scan(case):
     space = FiniteMetricSpace(*case)
     assert _has_far_pair(space) == (four_cycle_oracle(rank_matrix(space)) is not None)
+
+
+@PROFILE
+@given(ball_trees())
+def test_conjecture_checks_match_the_subspace_oracle(case):
+    space = FiniteMetricSpace(*case)
+    assert check_equidistant(space) == conjecture_oracle("equidistant", space)
+    assert check_k112_conjecture(space) == conjecture_oracle("k112", space)
+    assert check_k13_conjecture(space) == conjecture_oracle("k13", space)
 
 
 @PROFILE

@@ -1,6 +1,7 @@
 """Labeled trees, star metrics, and center reconstruction."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from starmetric import (
     X4,
     degenerate_edge,
     diagnose,
+    find_center,
     restrict,
     star_center,
     star_from_center,
@@ -27,7 +29,11 @@ from starmetric import (
     Verdict,
 )
 from starmetric.stars import center_condition_violation
-from helpers import random_star
+from helpers import center_condition_violation_oracle, random_star
+
+
+def shuffled(space, rng):
+    return restrict(space, rng.sample(space.points, space.n))
 
 
 def star_tree(center_label, leaf_labels):
@@ -178,6 +184,18 @@ class TestStarFromCenter:
         with pytest.raises(InternalCheckError):
             center_condition_violation(space, "s1")
 
+    def test_equals_the_built_star_in_the_space_order(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            space = shuffled(star_metric(random_star(rng, max_leaves=9)), rng)
+            centers = [x0 for x0 in space.points if center_condition_violation_oracle(space, x0) is None]
+            assert centers
+            for x0 in centers:
+                built = LabeledStarGraph.build(
+                    x0, 0, {p: space.d(p, x0) for p in space.points if p != x0}
+                )
+                assert star_from_center(space, x0) == replace(built, order=space.points)
+
     def test_round_trip_on_random_stars(self):
         rng = random.Random(23)
         for _ in range(60):
@@ -234,5 +252,15 @@ class TestDot:
         )
 
     def test_star_dot_matches_tree_dot(self):
-        star = LabeledStarGraph.build("c", "1/2", {"b": 1, "a": 2})
-        assert star_to_dot(star) == tree_to_dot(star.to_tree())
+        rng = random.Random(37)
+        stars = [
+            LabeledStarGraph.build("c", "1/2", {"b": 1, "a": 2}),
+            LabeledStarGraph.build('h"1', 1, {"x\\": 2, "y\nz": 3}),
+        ]
+        for _ in range(100):
+            star = random_star(rng)
+            # a shuffled space gives a star whose order is not center-first
+            space = shuffled(star_metric(star), rng)
+            stars += [star, star_from_center(space, find_center(space).center)]
+        for star in stars:
+            assert star_to_dot(star) == tree_to_dot(star.to_tree())
