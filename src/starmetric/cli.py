@@ -24,8 +24,24 @@ from .stars import star_from_center, star_to_dot
 from .rationals import parse_rational
 
 
+def _write(text: str) -> None:
+    """Write a command's whole stdout at once, as UTF-8 bytes whatever the
+    locale, so no encoding error can cut it short; a stream without a byte
+    layer (an ``io.StringIO``) takes the text."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    buffer.write(text.encode("utf-8"))
+
+
+def _json_text(data: dict) -> str:
+    return json.dumps(data, indent=2) + "\n"
+
+
 def _emit(data: dict) -> None:
-    print(json.dumps(data, indent=2))
+    _write(_json_text(data))
 
 
 def _cmd_validate(args) -> int:
@@ -40,10 +56,9 @@ def _cmd_diagnose(args) -> int:
     report = diagnose(space)
     if report.center is not None:
         star = star_from_center(space, report.center.center)
-        _emit({"verdict": report.verdict.value, "center": report.center.center,
-               "star": star.to_dict()})
-        if args.dot:
-            print(star_to_dot(star), end="")
+        text = _json_text({"verdict": report.verdict.value, "center": report.center.center,
+                           "star": star.to_dict()})
+        _write(text + star_to_dot(star) if args.dot else text)
         return 0
     payload = {"verdict": report.verdict.value}
     payload.update(report.forbidden.to_dict())
@@ -66,9 +81,8 @@ def _cmd_star(args) -> int:
     except CenterViolationError as exc:
         print(f"not a star center: {exc}", file=sys.stderr)
         return 1
-    print(star_to_json_text(star), end="")
-    if args.dot:
-        print(star_to_dot(star), end="")
+    text = star_to_json_text(star)
+    _write(text + star_to_dot(star) if args.dot else text)
     return 0
 
 

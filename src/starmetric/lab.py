@@ -12,12 +12,20 @@ through a chosen check, stop at the first counterexample or at
 budget/exhaustion, and re-verify any counterexample from its serialized form
 through an independent load path before reporting it.
 
+Every check is unchanged by relabelling the points, so an exhaustive
+campaign checks one representative per isometry class, built from its ball
+tree, and counts it as the n!/|Aut| labelled matrices of its class: the
+reported ``instances`` counts labelled matrices.  If any class fails or
+raises, the labelled scan runs from the start, so a counterexample, its
+explanation and ``instances`` are always the labelled route's.
+
 The checks build no subspaces.  A quad's diametrical class and its weak
 similarity type depend only on the order of its six distances, so each quad
 is read off the space's int rank matrix: the class through the
 four-point classifier, the model comparisons through the quad's densely
 re-ranked pattern, matched once per (pattern, model) and verified when
-first matched.  The two legs keep separate algorithms, so each still checks
+first matched.  Within one check each distinct tuple of six raw ranks is
+decided once.  The two legs keep separate algorithms, so each still checks
 the other.
 """
 
@@ -30,8 +38,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import combinations
+from functools import cache, lru_cache, partial
+from itertools import combinations, groupby
+from math import factorial
 from typing import Iterator, Optional
 
 from .decision import embeds_in_dplus
@@ -40,7 +49,7 @@ from .errors import InternalCheckError, SizeCapError
 from .models import W4
 from .rationals import format_rational, parse_rational
 from .similarity import _pattern_weakly_similar, _quad_pattern, weakly_similar
-from .spaces import FiniteMetricSpace, rank_matrix, require_ultrametric
+from .spaces import FiniteMetricSpace, RankMatrix, rank_matrix, require_ultrametric
 
 EXHAUSTIVE_MAX_POINTS = 5
 EXHAUSTIVE_MAX_ALPHABET = 4
@@ -86,6 +95,19 @@ def _point_labels(n: int) -> tuple[str, ...]:
     return tuple(f"p{i + 1}" for i in range(n))
 
 
+def _require_exhaustive(spec: GeneratorSpec) -> None:
+    """The size cap and the non-empty alphabet every exhaustive run needs."""
+    if not spec.override_caps and (
+        spec.n > EXHAUSTIVE_MAX_POINTS or len(spec.alphabet) > EXHAUSTIVE_MAX_ALPHABET
+    ):
+        raise SizeCapError(
+            f"exhaustive enumeration capped at n <= {EXHAUSTIVE_MAX_POINTS} and "
+            f"|alphabet| <= {EXHAUSTIVE_MAX_ALPHABET}; set override_caps to force"
+        )
+    if spec.n >= 2 and not spec.alphabet:
+        raise ValueError("alphabet must be non-empty for n >= 2")
+
+
 def enumerate_ultrametrics(spec: GeneratorSpec) -> Iterator[FiniteMetricSpace]:
     """Every ultrametric matrix over the alphabet, exactly once.
 
@@ -94,20 +116,12 @@ def enumerate_ultrametrics(spec: GeneratorSpec) -> Iterator[FiniteMetricSpace]:
     lexicographic matrix order.  Ultrametricity over a fixed alphabet only
     depends on the order of values, so pruning runs on alphabet indices.
     """
-    if not spec.override_caps and (
-        spec.n > EXHAUSTIVE_MAX_POINTS or len(spec.alphabet) > EXHAUSTIVE_MAX_ALPHABET
-    ):
-        raise SizeCapError(
-            f"exhaustive enumeration capped at n <= {EXHAUSTIVE_MAX_POINTS} and "
-            f"|alphabet| <= {EXHAUSTIVE_MAX_ALPHABET}; set override_caps to force"
-        )
+    _require_exhaustive(spec)
     n = spec.n
     labels = _point_labels(n)
     if n == 1:
         yield FiniteMetricSpace(labels, [[0]])
         return
-    if not spec.alphabet:
-        raise ValueError("alphabet must be non-empty for n >= 2")
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
     index_of = {cell: k for k, cell in enumerate(cells)}
     # triples completed by each cell: cell (i, j) closes {p, i, j} for p < i
@@ -144,6 +158,75 @@ def enumerate_ultrametrics(spec: GeneratorSpec) -> Iterator[FiniteMetricSpace]:
                 yield from fill(pos + 1)
 
     yield from fill(0)
+
+
+# a ball-tree node: (level, leaves below it, children in ascending order);
+# a leaf is level 0 with no children
+_LEAF = (0, 1, ())
+
+
+# a process running many campaigns asks for the same few shapes again and again
+@lru_cache(maxsize=8)
+def _isometry_classes(n: int, letters: int) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
+    """One level matrix per isometry class of ``n``-point ultrametric spaces
+    whose distances are among ``letters`` letters, each with its orbit size.
+
+    A finite ultrametric space is fixed up to isometry by its ball tree: the
+    points are its leaves, every internal node has at least two children and
+    a level above theirs, and a pair's distance is the level of its least
+    common node.  Trees are built bottom-up with each node's children taken
+    as a multiset of trees listed once each, so every class appears exactly
+    once.  The representative numbers the leaves depth first; level ``v``
+    stands for the ``v``-th letter and 0 for the diagonal.  The orbit size
+    is the number of labelled matrices in the class: n!/|Aut|, where |Aut|
+    is the product over the nodes of the factorials of the multiplicities
+    of equal child subtrees.
+    """
+
+    @cache
+    def trees(leaves: int, top: int) -> tuple:
+        # every tree with ``leaves`` leaves and levels at most ``top``
+        if leaves == 1:
+            return (_LEAF,)
+        found = []
+        for level in range(1, top + 1):
+            parts = [t for size in range(1, leaves) for t in trees(size, level - 1)]
+            chosen: list = []
+
+            def pick(start: int, left: int) -> None:
+                # each part has fewer leaves than the node, so at least two are picked
+                if not left:
+                    found.append((level, leaves, tuple(chosen)))
+                    return
+                for i in range(start, len(parts)):
+                    if parts[i][1] <= left:
+                        chosen.append(parts[i])
+                        pick(i, left - parts[i][1])
+                        chosen.pop()
+
+            pick(0, leaves)
+        return tuple(found)
+
+    def place(node: tuple, rows: list[list[int]], first: int) -> int:
+        # write the node's levels on leaves first, first + 1, ...; children
+        # overwrite their own blocks, and each leaf its diagonal cell
+        level, size, children = node
+        for x in range(first, first + size):
+            rows[x][first : first + size] = [level] * size
+        aut = 1
+        for child in children:
+            aut *= place(child, rows, first)
+            first += child[1]
+        for _, equal in groupby(children):
+            aut *= factorial(len(list(equal)))
+        return aut
+
+    classes = []
+    for tree in trees(n, letters):
+        rows = [[0] * n for _ in range(n)]
+        aut = place(tree, rows, 0)
+        classes.append((tuple(map(tuple, rows)), factorial(n) // aut))
+    return tuple(classes)
 
 
 def _random_partition(block: list[int], rng: random.Random) -> list[list[int]]:
@@ -222,6 +305,27 @@ class EquidistantCheck:
         return self.all_equal == self.all_quads_k1111
 
 
+def _quad_key(ranks: RankMatrix, quad: tuple[int, int, int, int]) -> tuple[int, ...]:
+    a, b, c, e = quad
+    ra, rb = ranks[a], ranks[b]
+    return (ra[b], ra[c], ra[e], rb[c], rb[e], ranks[c][e])
+
+
+def _distinct_quads(ranks: RankMatrix) -> dict[tuple[int, ...], tuple[int, int, int, int]]:
+    """Each distinct tuple of six pair ranks among the quads, mapped to the
+    first quad that has it.
+
+    A quad's class and its weak similarity type depend on these six ranks
+    alone, so deciding one quad per tuple decides every quad.  The dict
+    lives for one call: a cache keyed on raw ranks would grow without bound
+    over spaces with many levels.
+    """
+    first: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
+    for quad in combinations(range(len(ranks)), 4):
+        first.setdefault(_quad_key(ranks, quad), quad)
+    return first
+
+
 def check_equidistant(space: FiniteMetricSpace) -> EquidistantCheck:
     """Equidistance versus all-quads-K1111, evaluated independently.
 
@@ -239,7 +343,7 @@ def check_equidistant(space: FiniteMetricSpace) -> EquidistantCheck:
     all_equal = all(ranks[i][j] == 1 for i in range(n) for j in range(i + 1, n))
     all_quads = all(
         _require_quad_class(ranks, quad) is FourPointClass.K1111
-        for quad in combinations(range(n), 4)
+        for quad in _distinct_quads(ranks).values()
     )
     return EquidistantCheck(all_equal, all_quads)
 
@@ -273,14 +377,19 @@ def check_k112_conjecture(space: FiniteMetricSpace) -> K112Check:
     ranks = rank_matrix(space)
     all_k112 = True
     all_w4 = True
-    violations = []
-    for quad in combinations(range(n), 4):
+    broken = set()
+    for key, quad in _distinct_quads(ranks).items():
         is_k112 = _require_quad_class(ranks, quad) is FourPointClass.K112
         is_w4 = _pattern_weakly_similar(_quad_pattern(ranks, quad), "W4")
         all_k112 = all_k112 and is_k112
         all_w4 = all_w4 and is_w4
         if is_k112 != is_w4:
-            violations.append(tuple(space.points[i] for i in quad))
+            broken.add(key)
+    violations = []
+    if broken:
+        for quad in combinations(range(n), 4):
+            if _quad_key(ranks, quad) in broken:
+                violations.append(tuple(space.points[i] for i in quad))
     whole = (weakly_similar(space, W4) is not None) if n == 4 else None
     return K112Check(all_k112, all_w4, whole, tuple(violations))
 
@@ -310,12 +419,11 @@ def check_k13_conjecture(space: FiniteMetricSpace) -> K13Check:
     if space.n < 4:
         raise ValueError("K13 conjecture check needs at least four points")
     require_ultrametric(space)
-    n = space.n
     ranks = rank_matrix(space)
     all_k13 = True
     any_z4 = False
     all_s4 = True
-    for quad in combinations(range(n), 4):
+    for quad in _distinct_quads(ranks).values():
         if _require_quad_class(ranks, quad) is not FourPointClass.K13:
             all_k13 = False
         pattern = _quad_pattern(ranks, quad)
@@ -421,11 +529,35 @@ def _reverify_counterexample(which: str, space_dict: dict) -> Optional[str]:
     return evaluate_conjecture(which, reloaded)
 
 
+def _orbit_sum_if_all_hold(spec: GeneratorSpec, which: str) -> Optional[int]:
+    """The number of labelled spaces when one representative of each
+    isometry class satisfies the conjecture, else None.
+
+    Every check is unchanged by relabelling the points, so a class holds iff
+    each of its labelled matrices does.
+    """
+    labels = _point_labels(spec.n)
+    values = (Fraction(0),) + spec.alphabet
+    total = 0
+    for rows, orbit in _isometry_classes(spec.n, len(spec.alphabet)):
+        try:
+            outcome = evaluate_conjecture(which, FiniteMetricSpace._trusted(labels, rows, values))
+        except Exception:
+            # whatever went wrong, the labelled scan decides what is reported
+            return None
+        if outcome is not None:
+            return None
+        total += orbit
+    return total
+
+
 def run_campaign(spec: GeneratorSpec, which: str, jobs: int = 1) -> ConjectureReport:
     """Stream generated spaces through one conjecture check.
 
     Stops at the first counterexample (by enumeration order) or at
-    exhaustion/budget.  A counterexample must re-verify from its serialized
+    exhaustion/budget.  An exhaustive run first checks one representative
+    per isometry class; only when one fails or raises does it scan the
+    labelled matrices.  A counterexample must re-verify from its serialized
     form or the run aborts.  ``jobs`` > 1 parallelizes sampled campaigns over
     index chunks, with at most one worker per CPU and per sample; results are
     read in index order and the chunks not yet started when the first
@@ -443,6 +575,10 @@ def run_campaign(spec: GeneratorSpec, which: str, jobs: int = 1) -> ConjectureRe
     instances = 0
     bad_space: Optional[FiniteMetricSpace] = None
     explanation: Optional[str] = None
+    orbit_sum = None
+    if spec.mode == "exhaustive":
+        _require_exhaustive(spec)
+        orbit_sum = _orbit_sum_if_all_hold(spec, which)
 
     if spec.mode == "sample" and workers > 1:
         trial = partial(_sample_trial, spec, which)
@@ -456,7 +592,10 @@ def run_campaign(spec: GeneratorSpec, which: str, jobs: int = 1) -> ConjectureRe
                     explanation = outcome
                     bad_space = sample_dendrogram(spec, index)
                     break
+    elif orbit_sum is not None:
+        instances = orbit_sum
     else:
+        # from the start, so a counterexample is the first in matrix order
         for space in generate(spec):
             instances += 1
             explanation = evaluate_conjecture(which, space)

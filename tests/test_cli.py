@@ -244,6 +244,17 @@ class TestConjecture:
             assert result.stdout == ""
             assert result.stderr.startswith("error:")
 
+    def test_exhaustive_guards_are_usage_errors(self):
+        for alphabet, extra, message in (
+            ("1,2", (), "exhaustive enumeration capped at n <= 5 and |alphabet| <= 4; "
+                        "set override_caps to force"),
+            (",", ("--override-caps",), "alphabet must be non-empty for n >= 2"),
+        ):
+            result = run_cli("conjecture", "--which", "k13", "--n", "6", "--alphabet", alphabet, *extra)
+            assert result.returncode == 2, alphabet
+            assert result.stdout == ""
+            assert result.stderr == f"error: {message}\n"
+
     def test_negative_count_is_usage_error(self):
         for command in (("conjecture", "--which", "k13"), ("gen",)):
             result = run_cli(
@@ -276,6 +287,22 @@ class TestContract:
         assert (c_locale.stdout, c_locale.stderr, c_locale.returncode) == (
             default.stdout, default.stderr, default.returncode
         )
+
+    def test_non_ascii_output_is_utf8_whatever_the_locale(self, tmp_path):
+        # the JSON block escapes these names, the DOT block writes them as
+        # they are; an ASCII stdout used to cut the output after the JSON
+        path = tmp_path / "odd_names.json"
+        star = LabeledStarGraph.build("é", 0, {"ß": 1, "c d": 2, "{": 3})
+        path.write_text(space_to_json_text(star_metric(star)), encoding="utf-8")
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+        env.pop("PYTHONIOENCODING", None)
+        for command in ("diagnose", "star"):
+            argv = [sys.executable, "-m", "starmetric", command, "--dot", str(path)]
+            c_locale = subprocess.run(argv, capture_output=True, env=env)
+            default = subprocess.run(argv, capture_output=True)
+            assert c_locale.returncode == default.returncode == 0, c_locale.stderr
+            assert c_locale.stdout == default.stdout, command
+            assert '"ß" [label="ß:1"];'.encode() in default.stdout
 
     def test_undecodable_file_is_usage_error_naming_the_file(self, tmp_path):
         path = tmp_path / "bom16.json"

@@ -1,6 +1,8 @@
 """Generators, conjecture checks, and campaign plumbing."""
 
 import json
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
@@ -342,3 +344,178 @@ class TestParallelEarlyStop:
         assert k + 1 <= len(evaluated) < k + 1 + 64
         assert evaluated == list(range(len(evaluated)))
         assert shutdowns == [(len(evaluated), True)]
+
+
+def canonical_form(matrix):
+    """The least matrix over every relabelling: equal iff isometric."""
+    n = len(matrix)
+    return min(
+        tuple(tuple(matrix[p[i]][p[j]] for j in range(n)) for i in range(n))
+        for p in permutations(range(n))
+    )
+
+
+def labelled_route(monkeypatch, spec, which):
+    """The report of the labelled scan alone, with the class route switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lab, "_orbit_sum_if_all_hold", lambda spec, which: None)
+        return run_campaign(spec, which).to_dict()
+
+
+LETTERS = ("1/2", "1", "3", "7")
+
+
+class TestIsometryClasses:
+    """Exhaustive campaigns check one ball-tree representative per class; the
+    labelled enumerator is the oracle."""
+
+    @pytest.mark.parametrize(
+        "n, k", [(n, k) for n in range(4, 8) for k in (1, 2, 3)] + [(4, 4), (5, 4), (6, 4)]
+    )
+    def test_orbit_sizes_sum_to_the_labelled_count(self, n, k):
+        spec = GeneratorSpec(n=n, alphabet=LETTERS[:k], override_caps=True)
+        classes = lab._isometry_classes(n, k)
+        assert sum(orbit for _, orbit in classes) == len(list(enumerate_ultrametrics(spec)))
+
+    @pytest.mark.parametrize("k, labelled, classes", [(3, 167_894, 223), (4, 1_855_570, 1_344)])
+    def test_eight_points_match_the_multichain_counts(self, k, labelled, classes):
+        found = lab._isometry_classes(8, k)
+        assert len(found) == classes
+        assert sum(orbit for _, orbit in found) == labelled
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 6) for k in range(1, 5)])
+    def test_each_labelled_space_is_isometric_to_one_representative(self, n, k):
+        # the canonical form of a level matrix is a complete isometry invariant
+        spec = GeneratorSpec(n=n, alphabet=LETTERS[:k])
+        orbits = Counter()
+        for rows, orbit in lab._isometry_classes(n, k):
+            space = lab.FiniteMetricSpace._trusted(lab._point_labels(n), rows, (0,) + spec.alphabet)
+            assert validate(space).is_ultrametric
+            assert canonical_form(rows) not in orbits
+            orbits[canonical_form(rows)] = orbit
+        level = {v: i for i, v in enumerate((0,) + spec.alphabet)}
+        seen = Counter(
+            canonical_form([[level[v] for v in row] for row in space.dist])
+            for space in enumerate_ultrametrics(spec)
+        )
+        assert seen == orbits
+
+    @pytest.mark.parametrize("which", sorted(CHECKS))
+    @pytest.mark.parametrize("n, k", [(n, k) for n in (4, 5) for k in range(1, 5)] + [(6, 3)])
+    def test_class_route_reports_what_the_labelled_route_reports(self, monkeypatch, which, n, k):
+        spec = GeneratorSpec(n=n, alphabet=LETTERS[:k], override_caps=n > 5)
+        calls = Counter()
+        evaluate = lab.evaluate_conjecture
+
+        def counted(which, space):
+            calls[which] += 1
+            return evaluate(which, space)
+
+        monkeypatch.setattr(lab, "evaluate_conjecture", counted)
+        by_class = run_campaign(spec, which).to_dict()
+        assert calls[which] == len(lab._isometry_classes(n, k))
+        assert by_class["status"] == "EXHAUSTED_HOLDS"
+        assert json.dumps(by_class) == json.dumps(labelled_route(monkeypatch, spec, which))
+
+    @pytest.mark.parametrize("which", sorted(CHECKS))
+    def test_a_failing_class_reports_the_first_labelled_counterexample(self, monkeypatch, which):
+        spec = GeneratorSpec(n=5, alphabet=("1", "2", "3"))
+        # flag every member of one class
+        rows, _ = lab._isometry_classes(5, 3)[-2]
+        flagged = canonical_form(rows)
+        level = {v: i for i, v in enumerate((0,) + spec.alphabet)}
+
+        def flag(which, space):
+            if canonical_form([[level[v] for v in row] for row in space.dist]) == flagged:
+                return f"{which}: flagged class"
+            return None
+
+        monkeypatch.setattr(lab, "evaluate_conjecture", flag)
+        by_class = run_campaign(spec, which).to_dict()
+        assert by_class["status"] == "COUNTEREXAMPLE"
+        assert by_class["counterexample"]["explanation"] == f"{which}: flagged class"
+        labelled = labelled_route(monkeypatch, spec, which)
+        assert json.dumps(by_class) == json.dumps(labelled)
+        # the instance count is the labelled index of the first member
+        first = next(
+            i
+            for i, space in enumerate(enumerate_ultrametrics(spec), 1)
+            if flag(which, space) is not None
+        )
+        assert by_class["instances"] == first > 1
+
+    def test_a_class_that_raises_falls_back_to_the_labelled_scan(self, monkeypatch):
+        spec = GeneratorSpec(n=4, alphabet=("1", "2"))
+        evaluate = lab.evaluate_conjecture
+        calls = []
+
+        def raise_once(which, space):
+            calls.append(space)
+            if len(calls) == 1:
+                raise ValueError("first representative refused")
+            return evaluate(which, space)
+
+        expected = labelled_route(monkeypatch, spec, "k13")
+        monkeypatch.setattr(lab, "evaluate_conjecture", raise_once)
+        assert run_campaign(spec, "k13").to_dict() == expected
+        assert len(calls) == 1 + expected["instances"]
+
+
+class TestQuadMemo:
+    """Each check decides one quad per distinct tuple of six pair ranks."""
+
+    @pytest.mark.parametrize("which", sorted(CHECKS))
+    def test_one_class_decision_per_distinct_rank_tuple(self, monkeypatch, which):
+        spec = GeneratorSpec(n=8, alphabet=("1", "2", "3", "4"), mode="sample", seed=17, count=40)
+        classify = lab._require_quad_class
+        for index in range(spec.count):
+            space = sample_dendrogram(spec, index)
+            seen = []
+
+            def counted(ranks, quad):
+                seen.append(lab._quad_key(ranks, quad))
+                return classify(ranks, quad)
+
+            monkeypatch.setattr(lab, "_require_quad_class", counted)
+            CHECKS[which](space)
+            distinct = {lab._quad_key(lab.rank_matrix(space), quad) for quad in combinations(range(space.n), 4)}
+            assert len(seen) == len(set(seen))
+            if which == "equidistant":
+                # all() stops at the first quad that is not K1111
+                assert set(seen) <= distinct
+            else:
+                assert set(seen) == distinct
+
+    @pytest.mark.parametrize("which", sorted(CHECKS))
+    def test_every_space_to_six_points_over_three_letters(self, which):
+        for n in (4, 5, 6):
+            for k in (1, 2, 3):
+                spec = GeneratorSpec(n=n, alphabet=LETTERS[:k], override_caps=True)
+                for space in enumerate_ultrametrics(spec):
+                    assert CHECKS[which](space) == conjecture_oracle(which, space), space.dist
+
+    @pytest.mark.parametrize("which", sorted(CHECKS))
+    def test_seeded_samples_to_twelve_points(self, which):
+        for index in range(200):
+            spec = GeneratorSpec(n=4 + index % 9, alphabet=LETTERS, mode="sample", seed=23)
+            space = sample_dendrogram(spec, index)
+            assert CHECKS[which](space) == conjecture_oracle(which, space), index
+
+    def test_k112_lists_every_violating_quad_in_order(self, monkeypatch):
+        # W4-similarity is read off for each distinct tuple; flipping it for
+        # one pattern makes every quad with that pattern a violation
+        space = adjoin_near(adjoin_near(W4, "w1", "1/2"), "w2", "1/4")
+        target = lab._quad_pattern(lab.rank_matrix(space), (0, 1, 2, 3))
+        similar = lab._pattern_weakly_similar
+        monkeypatch.setattr(
+            lab, "_pattern_weakly_similar",
+            lambda pattern, model: similar(pattern, model) != (pattern == target),
+        )
+        ranks = lab.rank_matrix(space)
+        expected = tuple(
+            tuple(space.points[i] for i in quad)
+            for quad in combinations(range(space.n), 4)
+            if lab._quad_pattern(ranks, quad) == target
+        )
+        assert len(expected) > 1
+        assert check_k112_conjecture(space).biconditional_violations == expected
