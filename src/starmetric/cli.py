@@ -36,12 +36,8 @@ def _write(text: str) -> None:
     buffer.write(text.encode("utf-8"))
 
 
-def _json_text(data: dict) -> str:
-    return json.dumps(data, indent=2) + "\n"
-
-
 def _emit(data: dict) -> None:
-    _write(_json_text(data))
+    print(json.dumps(data, indent=2))
 
 
 def _cmd_validate(args) -> int:
@@ -56,8 +52,8 @@ def _cmd_diagnose(args) -> int:
     report = diagnose(space)
     if report.center is not None:
         star = star_from_center(space, report.center.center)
-        text = _json_text({"verdict": report.verdict.value, "center": report.center.center,
-                           "star": star.to_dict()})
+        text = json.dumps({"verdict": report.verdict.value, "center": report.center.center,
+                           "star": star.to_dict()}, indent=2) + "\n"
         _write(text + star_to_dot(star) if args.dot else text)
         return 0
     payload = {"verdict": report.verdict.value}

@@ -17,15 +17,17 @@ campaign checks one representative per isometry class, built from its ball
 tree, and counts it as the n!/|Aut| labelled matrices of its class: the
 reported ``instances`` counts labelled matrices.  If any class fails or
 raises, the labelled scan runs from the start, so a counterexample, its
-explanation and ``instances`` are always the labelled route's.
+explanation and ``instances`` are always the labelled route's; a failed
+self-check (``InternalCheckError``) propagates instead.
 
 The checks build no subspaces.  A quad's diametrical class and its weak
 similarity type depend only on the order of its six distances, so each quad
 is read off the space's int rank matrix: the class through the
 four-point classifier, the model comparisons through the quad's densely
 re-ranked pattern, matched once per (pattern, model) and verified when
-first matched.  Within one check each distinct tuple of six raw ranks is
-decided once.  The two legs keep separate algorithms, so each still checks
+first matched.  The K112 and K13 checks decide each distinct tuple of six
+raw ranks once; the equidistance check stops at the first quad that is not
+K1111.  The two legs keep separate algorithms, so each still checks
 the other.
 """
 
@@ -38,7 +40,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from itertools import combinations, groupby
 from math import factorial
 from typing import Iterator, Optional
@@ -165,8 +167,6 @@ def enumerate_ultrametrics(spec: GeneratorSpec) -> Iterator[FiniteMetricSpace]:
 _LEAF = (0, 1, ())
 
 
-# a process running many campaigns asks for the same few shapes again and again
-@lru_cache(maxsize=8)
 def _isometry_classes(n: int, letters: int) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
     """One level matrix per isometry class of ``n``-point ultrametric spaces
     whose distances are among ``letters`` letters, each with its orbit size.
@@ -343,7 +343,7 @@ def check_equidistant(space: FiniteMetricSpace) -> EquidistantCheck:
     all_equal = all(ranks[i][j] == 1 for i in range(n) for j in range(i + 1, n))
     all_quads = all(
         _require_quad_class(ranks, quad) is FourPointClass.K1111
-        for quad in _distinct_quads(ranks).values()
+        for quad in combinations(range(n), 4)
     )
     return EquidistantCheck(all_equal, all_quads)
 
@@ -534,7 +534,7 @@ def _orbit_sum_if_all_hold(spec: GeneratorSpec, which: str) -> Optional[int]:
     isometry class satisfies the conjecture, else None.
 
     Every check is unchanged by relabelling the points, so a class holds iff
-    each of its labelled matrices does.
+    each of its labelled matrices does.  A failed self-check propagates.
     """
     labels = _point_labels(spec.n)
     values = (Fraction(0),) + spec.alphabet
@@ -542,8 +542,11 @@ def _orbit_sum_if_all_hold(spec: GeneratorSpec, which: str) -> Optional[int]:
     for rows, orbit in _isometry_classes(spec.n, len(spec.alphabet)):
         try:
             outcome = evaluate_conjecture(which, FiniteMetricSpace._trusted(labels, rows, values))
+        except InternalCheckError:
+            # a failed self-check is a bug to report, not a case to rescan
+            raise
         except Exception:
-            # whatever went wrong, the labelled scan decides what is reported
+            # whatever else went wrong, the labelled scan decides what is reported
             return None
         if outcome is not None:
             return None
@@ -557,7 +560,8 @@ def run_campaign(spec: GeneratorSpec, which: str, jobs: int = 1) -> ConjectureRe
     Stops at the first counterexample (by enumeration order) or at
     exhaustion/budget.  An exhaustive run first checks one representative
     per isometry class; only when one fails or raises does it scan the
-    labelled matrices.  A counterexample must re-verify from its serialized
+    labelled matrices, and a failed self-check from a representative is
+    raised, not rescanned.  A counterexample must re-verify from its serialized
     form or the run aborts.  ``jobs`` > 1 parallelizes sampled campaigns over
     index chunks, with at most one worker per CPU and per sample; results are
     read in index order and the chunks not yet started when the first

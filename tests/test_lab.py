@@ -8,7 +8,9 @@ import pytest
 
 from starmetric import (
     E4,
+    FourPointClass,
     GeneratorSpec,
+    InternalCheckError,
     S4,
     SizeCapError,
     W4,
@@ -460,9 +462,24 @@ class TestIsometryClasses:
         assert run_campaign(spec, "k13").to_dict() == expected
         assert len(calls) == 1 + expected["instances"]
 
+    def test_a_failed_self_check_in_a_representative_crashes_the_campaign(self, monkeypatch):
+        spec = GeneratorSpec(n=5, alphabet=("1", "2", "3"))
+        calls = []
+
+        def broken(which, space):
+            calls.append(space)
+            raise InternalCheckError("representative failed its self-check")
+
+        monkeypatch.setattr(lab, "evaluate_conjecture", broken)
+        with pytest.raises(InternalCheckError, match="representative failed"):
+            run_campaign(spec, "k13")
+        # no labelled scan ran after the first representative
+        assert len(calls) == 1
+
 
 class TestQuadMemo:
-    """Each check decides one quad per distinct tuple of six pair ranks."""
+    """The K112 and K13 checks decide one quad per distinct tuple of six pair
+    ranks; the equidistance check stops at the first quad that is not K1111."""
 
     @pytest.mark.parametrize("which", sorted(CHECKS))
     def test_one_class_decision_per_distinct_rank_tuple(self, monkeypatch, which):
@@ -478,13 +495,19 @@ class TestQuadMemo:
 
             monkeypatch.setattr(lab, "_require_quad_class", counted)
             CHECKS[which](space)
-            distinct = {lab._quad_key(lab.rank_matrix(space), quad) for quad in combinations(range(space.n), 4)}
-            assert len(seen) == len(set(seen))
+            ranks = lab.rank_matrix(space)
+            quads = list(combinations(range(space.n), 4))
             if which == "equidistant":
-                # all() stops at the first quad that is not K1111
-                assert set(seen) <= distinct
+                # the plain loop decides quads in order up to the first that
+                # is not K1111
+                stop = next(
+                    (i for i, quad in enumerate(quads) if classify(ranks, quad) is not FourPointClass.K1111),
+                    len(quads) - 1,
+                )
+                assert seen == [lab._quad_key(ranks, quad) for quad in quads[: stop + 1]]
             else:
-                assert set(seen) == distinct
+                assert len(seen) == len(set(seen))
+                assert set(seen) == {lab._quad_key(ranks, quad) for quad in quads}
 
     @pytest.mark.parametrize("which", sorted(CHECKS))
     def test_every_space_to_six_points_over_three_letters(self, which):
