@@ -49,8 +49,7 @@ def space_from_csv_text(text: str) -> FiniteMetricSpace:
     rows = [row for row in csv.reader(io.StringIO(text)) if row and any(cell.strip() for cell in row)]
     if len(rows) < 2:
         raise ParseError("CSV needs a header row of labels plus the matrix rows")
-    labels = [cell.strip() for cell in rows[0]]
-    matrix = [[cell.strip() for cell in row] for row in rows[1:]]
+    labels, *matrix = [list(map(str.strip, row)) for row in rows]
     return FiniteMetricSpace(labels, matrix)
 
 

@@ -1,29 +1,33 @@
 """Finite metric spaces over exact rational distances.
 
 A :class:`FiniteMetricSpace` is an ordered tuple of point labels plus a
-symmetric positive matrix of ``Fraction`` distances.  Construction enforces
-the structural axioms (square shape, zero diagonal, symmetry, positive
+symmetric positive matrix of exact distances.  Construction enforces the
+structural axioms (square shape, zero diagonal, symmetry, positive
 off-diagonal entries); the triangle inequalities are checked by
 :func:`validate`, which distinguishes metric from ultrametric input and
 reports the first violating triple.
 
 Construction parses each distinct numeral text once and ranks the distinct
-values once, exactly, so a space holds its spectrum and its int rank matrix
-from the start; the structural checks and every order-only kernel (the
+values once, exactly, and a space holds just that: its spectrum and its int
+rank matrix.  The structural checks and every order-only kernel (the
 ultrametric check, the nearest neighbours, the center, the four-point
-classes) read the ranks, and ``Fraction`` values serve output, sums and
-shifts.  Spaces are immutable and operations return new values.  The first
-strong-triangle violation and each point's nearest-neighbour rank are found
-once per space, on first use; they are pure functions of the immutable
-matrix, so concurrent use still needs no locks.  Tie-breaking
-is always lexicographic in the stored point order, making every operation
-deterministic.
+classes) read the ranks; a single distance is its rank's spectrum value.
+The ``Fraction`` matrix ``dist`` is built on first read, for the routes that
+sum or copy whole rows of values: ``validate``'s metric flag and
+:func:`adjoin_near`; :meth:`FiniteMetricSpace.to_dict` formats each spectrum
+value once instead.  Spaces are immutable and operations return new values.
+The matrix of values, the first strong-triangle violation and each point's
+nearest-neighbour rank are found once per space, on first use; they are pure
+functions of the immutable ranks and spectrum, so concurrent use still needs
+no locks.  Tie-breaking is always lexicographic in the stored point order,
+making every operation deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, NoReturn, Optional, Sequence
 
 from .errors import InternalCheckError, InvalidSpaceError, NotUltrametricError
@@ -31,10 +35,10 @@ from .rationals import RationalLike, format_rational, parse_rational
 
 
 class FiniteMetricSpace:
-    """Ordered point labels plus an exact symmetric distance matrix, with the
-    matrix's spectrum and int rank matrix."""
+    """Ordered point labels plus an exact symmetric distance matrix, held as
+    the matrix's spectrum and int rank matrix."""
 
-    __slots__ = ("points", "dist", "_pos", "_violation", "_nearest_ranks", "_spectrum", "_rank_matrix")
+    __slots__ = ("points", "_dist", "_pos", "_violation", "_nearest_ranks", "_spectrum", "_rank_matrix")
 
     def __init__(self, points: Sequence[str], dist: Sequence[Sequence[RationalLike]]):
         pts = tuple(points)
@@ -45,38 +49,23 @@ class FiniteMetricSpace:
         if len(set(pts)) != len(pts):
             raise InvalidSpaceError("labels", "point labels must be unique")
         n = len(pts)
-        # Each distinct numeral text is parsed once.  Any other cell is parsed
-        # on its own and keyed on the Fraction it parses to, never on the raw
-        # cell: 1, True and 1.0 share a hash, and a list has none.
-        slot_of: dict = {Fraction(0): 0}
-        values = [Fraction(0)]
-        slot_rows = []
-        for row in dist:
-            slots = []
-            for x in row:
-                key = x if type(x) is str else parse_rational(x)
-                slot = slot_of.get(key)
-                if slot is None:
-                    slot = slot_of[key] = len(values)
-                    values.append(parse_rational(key))
-                slots.append(slot)
-            slot_rows.append(slots)
-        if len(slot_rows) != n or any(len(row) != n for row in slot_rows):
+        rows, value_of = _parse_cells(list(dist))
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise InvalidSpaceError(
                 "shape", f"distance matrix must be {n}x{n} to match {n} points"
             )
-        slot_rank, distinct = _rank_values(values)
-        ranks = tuple(tuple(map(slot_rank.__getitem__, row)) for row in slot_rows)
-        rows = tuple(tuple(map(values.__getitem__, row)) for row in slot_rows)
+        rank, distinct = _rank_values([Fraction(0), *value_of.values()])
+        rank_of = dict(zip(value_of, rank[1:]))
+        ranks = tuple(tuple(map(rank_of.__getitem__, row)) for row in rows)
         # rank 0 is the value 0 exactly when no value is negative
-        zero = slot_rank[0]
+        zero = rank[0]
         if not (
             zero == 0
             and all(row[i] == 0 and row.count(0) == 1 for i, row in enumerate(ranks))
             and ranks == tuple(zip(*ranks))
         ):
-            _raise_axiom_error(pts, rows, ranks, zero)
-        self._set(pts, rows, ranks, Spectrum(distinct))
+            _raise_axiom_error(pts, ranks, distinct, zero)
+        self._set(pts, ranks, Spectrum(distinct))
 
     @classmethod
     def _trusted(
@@ -86,8 +75,9 @@ class FiniteMetricSpace:
 
         ``levels`` is a symmetric int matrix, 0 exactly on the diagonal, in
         the order of the distances, and ``values[level]`` is the distance, so
-        ``values[0]`` is 0.  The levels are re-ranked densely; nothing is
-        parsed or checked, and the labels must be valid and unique.
+        ``values[0]`` is 0.  The levels are re-ranked densely and the used
+        values become the spectrum; nothing is parsed or checked, no
+        ``Fraction`` matrix is built, and the labels must be valid and unique.
         """
         used = sorted(set().union(*levels))
         dense = [0] * (used[-1] + 1)
@@ -96,22 +86,30 @@ class FiniteMetricSpace:
         space = cls.__new__(cls)
         space._set(
             tuple(points),
-            tuple(tuple(map(values.__getitem__, row)) for row in levels),
             tuple(tuple(map(dense.__getitem__, row)) for row in levels),
             Spectrum(tuple(values[level] for level in used)),
         )
         return space
 
-    def _set(self, points, rows, ranks, spec) -> None:
+    def _set(self, points, ranks, spec) -> None:
         self.points = points
-        self.dist = rows
         self._pos = {p: i for i, p in enumerate(points)}
         self._rank_matrix = ranks
         self._spectrum = spec
-        # the first strong-triangle violation and the nearest-neighbour ranks,
-        # found on first use; equality and hashing ignore them and the order data
+        # the Fraction matrix, the first strong-triangle violation and the
+        # nearest-neighbour ranks, built on first use; equality and hashing
+        # read none of them
+        self._dist = None
         self._violation = False  # not yet checked, then None or a Violation
         self._nearest_ranks = None
+
+    @property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The matrix of exact distances, each the spectrum value of its rank."""
+        if self._dist is None:
+            values = self._spectrum.values
+            self._dist = tuple(tuple(map(values.__getitem__, row)) for row in self._rank_matrix)
+        return self._dist
 
     @property
     def n(self) -> int:
@@ -124,7 +122,7 @@ class FiniteMetricSpace:
             raise KeyError(f"unknown point label {label!r}") from None
 
     def d(self, a: str, b: str) -> Fraction:
-        return self.dist[self.index(a)][self.index(b)]
+        return self._spectrum.values[self._rank_matrix[self.index(a)][self.index(b)]]
 
     @classmethod
     def from_pairs(
@@ -156,9 +154,10 @@ class FiniteMetricSpace:
 
     def to_dict(self) -> dict:
         """JSON-ready form: labels plus distance strings like '3' or '1/2'."""
+        texts = [format_rational(x) for x in self._spectrum.values]
         return {
             "points": list(self.points),
-            "dist": [[format_rational(x) for x in row] for row in self.dist],
+            "dist": [list(map(texts.__getitem__, row)) for row in self._rank_matrix],
         }
 
     @classmethod
@@ -175,10 +174,15 @@ class FiniteMetricSpace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteMetricSpace):
             return NotImplemented
-        return self.points == other.points and self.dist == other.dist
+        # ranks and spectrum are both dense, so they fix the matrix of values
+        return (
+            self.points == other.points
+            and self._spectrum.values == other._spectrum.values
+            and self._rank_matrix == other._rank_matrix
+        )
 
     def __hash__(self) -> int:
-        return hash((self.points, self.dist))
+        return hash((self.points, self._spectrum.values, self._rank_matrix))
 
     def __repr__(self) -> str:
         return f"FiniteMetricSpace({len(self.points)} points: {', '.join(self.points)})"
@@ -234,6 +238,37 @@ class Spectrum:
         return self.values[1:]
 
 
+def _parse_cells(rows: list) -> tuple[list, dict]:
+    """The matrix as rows of cell keys, and each key's value, every distinct
+    key parsed once and in row order, so the first bad numeral is the first
+    one a per-cell parse would meet.
+
+    When every cell is a str, as in every file, the cells are their own
+    keys, and the distinct texts are listed and parsed at C speed.  Any other
+    cell is parsed on its own and keyed on the Fraction it parses to, never
+    on the raw cell: 1, True and 1.0 share a hash, and a list has none.
+    """
+    # rows of another type may be one-shot iterators, which a second pass finds empty
+    if set(map(type, rows)) <= {list, tuple}:
+        try:
+            texts = dict.fromkeys(chain.from_iterable(rows))
+        except TypeError:  # an unhashable cell
+            texts = {}
+        if set(map(type, texts)) == {str}:
+            return rows, dict(zip(texts, map(parse_rational, texts)))
+    value_of: dict = {}
+    key_rows = []
+    for row in rows:
+        keys = []
+        for x in row:
+            key = x if type(x) is str else parse_rational(x)
+            if key not in value_of:
+                value_of[key] = parse_rational(key)
+            keys.append(key)
+        key_rows.append(keys)
+    return key_rows, value_of
+
+
 _INF = float("inf")
 
 
@@ -264,11 +299,13 @@ def _rank_values(values: Sequence[Fraction]) -> tuple[list[int], tuple[Fraction,
     return rank, tuple(distinct)
 
 
-def _raise_axiom_error(points, rows, ranks, zero: int) -> NoReturn:
+def _raise_axiom_error(points, ranks, values, zero: int) -> NoReturn:
     """Raise the first structural axiom the matrix breaks, in row order:
     a row's diagonal, then each pair to its right for symmetry, sign and
-    coincidence.  ``zero`` is the rank of the value 0."""
+    coincidence.  ``values[rank]`` is a rank's value and ``zero`` is the
+    rank of the value 0."""
     n = len(points)
+    rows = [[values[r] for r in row] for row in ranks]
     for i in range(n):
         if ranks[i][i] != zero:
             raise InvalidSpaceError(
@@ -503,9 +540,9 @@ def swap_isometry(space: FiniteMetricSpace, x1: str, x2: str) -> dict[str, str]:
         raise ValueError("swap requires two distinct points")
     mp = min_pair(space)
     assert mp is not None
-    if space.dist[i][j] != mp[2]:
+    if space.d(x1, x2) != mp[2]:
         raise ValueError(
-            f"pair ({x1},{x2}) at distance {space.dist[i][j]} does not attain "
+            f"pair ({x1},{x2}) at distance {space.d(x1, x2)} does not attain "
             f"the minimum positive distance {mp[2]}"
         )
     perm = {p: p for p in space.points}

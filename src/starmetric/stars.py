@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 from .diametrical import _dot
 from .errors import CenterViolationError, DegenerateLabelingError, InternalCheckError
 from .rationals import RationalLike, format_rational, parse_rational
-from .spaces import FiniteMetricSpace, _nearest, rank_matrix, require_ultrametric
+from .spaces import FiniteMetricSpace, _nearest, rank_matrix, require_ultrametric, spectrum
 
 
 @dataclass(frozen=True)
@@ -270,8 +270,9 @@ def star_from_center(space: FiniteMetricSpace, x0: str) -> LabeledStarGraph:
 
     The center keeps label 0 and every other point x becomes a leaf labeled
     d(x, x0).  Feeding the result back through :func:`star_metric` returns
-    the input space bit-exactly.  The leaf labels are the center's row of the
-    checked matrix, positive and already exact, so nothing is parsed again.
+    the input space bit-exactly.  The leaf labels are the center's row, read
+    off its ranks in the checked spectrum, positive and already exact, so
+    nothing is parsed again and no other row is built.
     """
     require_ultrametric(space)
     c = space.index(x0)
@@ -284,7 +285,8 @@ def star_from_center(space: FiniteMetricSpace, x0: str) -> LabeledStarGraph:
             f"{x0} is not a star center: d({x0},{x}) = {space.d(x0, x)} > "
             f"d({y},{x}) = {space.d(y, x)}",
         )
-    points, row = space.points, space.dist[c]
+    points, values = space.points, spectrum(space).values
+    row = tuple(map(values.__getitem__, rank_matrix(space)[c]))
     return LabeledStarGraph(
         x0, Fraction(0), points[:c] + points[c + 1:], row[:c] + row[c + 1:], points
     )

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from starmetric import (
+    S4,
+    X4,
     FiniteMetricSpace,
     GeneratorSpec,
     NotUltrametricError,
@@ -22,6 +24,9 @@ from starmetric import (
     unshift,
     validate,
 )
+from starmetric import cli, lab
+from starmetric.fileio import parse_space_file, space_to_json_text
+from starmetric.rationals import parse_rational
 from starmetric.spaces import _equals_subdominant, _rank_values, _scan_violation
 from starmetric.stars import center_condition_violation
 from helpers import (
@@ -110,6 +115,12 @@ def reshape(rng: random.Random, dist) -> None:
         dist.append(list(dist[0]))
 
 
+def assert_same_space(a: FiniteMetricSpace, b: FiniteMetricSpace) -> None:
+    """Equal, hashed alike, and equal in every stored or derived matrix."""
+    assert a == b and hash(a) == hash(b)
+    assert (a.points, a.dist, rank_matrix(a), spectrum(a)) == (b.points, b.dist, rank_matrix(b), spectrum(b))
+
+
 class TestConstruction:
     def test_agrees_with_the_fraction_oracle_on_mutated_matrices(self):
         rng = random.Random(2024)
@@ -126,9 +137,16 @@ class TestConstruction:
             assert construct_outcome(points, dist) == expected
             kind = "ok" if expected[0] == "ok" else expected[1] or expected[0].__name__
             kinds[kind] = kinds.get(kind, 0) + 1
+            if kind == "ok" and all(type(x) is str for row in dist for x in row):
+                # the all-text route against the per-cell route on the same values
+                texts = FiniteMetricSpace(points, dist)
+                values = FiniteMetricSpace(points, [[parse_rational(x) for x in row] for row in dist])
+                assert_same_space(texts, values)
+                kinds["ok, all text"] = kinds.get("ok, all text", 0) + 1
         # every error kind and the order between them is exercised
         assert set(kinds) >= {
-            "ok", "ValueError", "shape", "diagonal", "asymmetry", "negative", "coincident"
+            "ok", "ok, all text", "ValueError", "shape", "diagonal", "asymmetry", "negative",
+            "coincident"
         }, kinds
         assert min(kinds.values()) >= 30, kinds
 
@@ -201,6 +219,8 @@ class TestTrustedConstruction:
             assert public == space
             assert rank_matrix(public) == rank_matrix(space)
             assert spectrum(public) == spectrum(space)
+            assert_same_space(space, public)
+            assert_same_space(space, FiniteMetricSpace.from_dict(space.to_dict()))
 
     def test_restrict_and_shifts_equal_the_public_constructor(self):
         rng = random.Random(8200)
@@ -217,6 +237,7 @@ class TestTrustedConstruction:
                 assert derived == public
                 assert rank_matrix(derived) == rank_matrix(public)
                 assert spectrum(derived) == spectrum(public)
+                assert_same_space(derived, public)
 
 
 def agreement_spaces():
@@ -262,3 +283,50 @@ class TestKernelsOnRanks:
             seen["forbidden"] += witness is not None
             seen["embeds"] += weights is not None
         assert min(seen.values()) >= 100, seen
+
+
+class TestNoValueMatrix:
+    """Order-only routes read ranks and single spectrum values, so they never
+    build a space's ``Fraction`` matrix."""
+
+    def test_cli_order_routes_leave_the_matrix_unbuilt(self, tmp_path, monkeypatch, capsys):
+        paths = {}
+        for name, space in (("us", S4), ("forbidden", X4)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(space_to_json_text(restrict(space, reversed(space.points))))
+        paths["nonultra"] = tmp_path / "nonultra.csv"
+        paths["nonultra"].write_text("a,b,c\n0,1,2\n1,0,1\n2,1,0\n")
+        paths["star"] = tmp_path / "star.csv"
+        paths["star"].write_text("h,x,y\n0,1/2,3\n1/2,0,3\n3,3,0\n")
+        loaded = []
+
+        def recording(path):
+            loaded.append(parse_space_file(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "parse_space_file", recording)
+        codes = {}
+        for name, path in paths.items():
+            for argv in (("diagnose", str(path), "--dot"), ("star", str(path)), ("scan", str(path))):
+                codes[name, argv[0]] = cli.main(list(argv))
+                capsys.readouterr()
+        assert codes[("us", "diagnose")] == codes[("star", "diagnose")] == 0
+        assert codes[("forbidden", "diagnose")] == 1
+        assert codes[("nonultra", "diagnose")] == 2
+        assert len(loaded) == 12
+        assert all(space._dist is None for space in loaded)
+
+    def test_campaign_spaces_leave_the_matrix_unbuilt(self, monkeypatch):
+        checked = []
+        evaluate = lab.evaluate_conjecture
+
+        def recording(which, space):
+            checked.append(space)
+            return evaluate(which, space)
+
+        monkeypatch.setattr(lab, "evaluate_conjecture", recording)
+        for which in ("equidistant", "k112", "k13"):
+            lab.run_campaign(GeneratorSpec(n=8, alphabet=ALPHABET, mode="sample", seed=3, count=20), which)
+            lab.run_campaign(GeneratorSpec(n=5, alphabet=ALPHABET[:3]), which)
+        assert len(checked) > 100
+        assert all(space._dist is None for space in checked)
