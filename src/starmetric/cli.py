@@ -14,10 +14,10 @@ import functools
 import json
 import sys
 
-from . import lab
 from .decision import diagnose, dplus_space, find_center, forbidden_scan, shift, unshift
 from .errors import CenterViolationError, InternalCheckError, StarmetricError
 from .fileio import parse_space_file, space_to_json_text, star_to_json_text
+from .models import CONJECTURE_IDS
 from .similarity import weakly_similar
 from .spaces import validate
 from .stars import star_from_center, star_to_dot
@@ -117,7 +117,10 @@ def _cmd_dplus(args) -> int:
     return 0
 
 
+# gen and conjecture import the lab themselves, so no other command loads it
 def _generator_spec(args) -> lab.GeneratorSpec:
+    from . import lab
+
     alphabet = tuple(v for v in args.alphabet.split(",") if v.strip())
     return lab.GeneratorSpec(
         n=args.n,
@@ -130,6 +133,8 @@ def _generator_spec(args) -> lab.GeneratorSpec:
 
 
 def _cmd_gen(args) -> int:
+    from . import lab
+
     spec = _generator_spec(args)
     for space in lab.generate(spec):
         print(json.dumps(space.to_dict()))
@@ -137,6 +142,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    from . import lab
+
     spec = _generator_spec(args)
     report = lab.run_campaign(spec, args.which, jobs=args.jobs)
     _emit(report.to_dict())
@@ -201,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--count", type=int, default=0, help="sample budget (sample mode)")
         p.add_argument("--override-caps", action="store_true", help="lift the exhaustive-mode size caps")
         if name == "conjecture":
-            p.add_argument("--which", choices=lab.CONJECTURE_IDS, required=True)
+            p.add_argument("--which", choices=CONJECTURE_IDS, required=True)
             p.add_argument("--jobs", type=int, default=1, help="parallel workers for sampled campaigns")
             p.set_defaults(func=_cmd_conjecture)
         else:

@@ -29,6 +29,10 @@ first matched.  The K112 and K13 checks decide each distinct tuple of six
 raw ranks once; the equidistance check stops at the first quad that is not
 K1111.  The two legs keep separate algorithms, so each still checks
 the other.
+
+Only a sampled campaign with ``jobs`` > 1 starts a process pool, and only
+that route imports one: ``concurrent.futures.process``, with
+``multiprocessing`` under it, loads in that branch and on no other path.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -48,15 +51,13 @@ from typing import Iterator, Optional
 from .decision import embeds_in_dplus
 from .diametrical import FourPointClass, _require_quad_class
 from .errors import InternalCheckError, SizeCapError
-from .models import W4
+from .models import CONJECTURE_IDS, W4
 from .rationals import format_rational, parse_rational
 from .similarity import _pattern_weakly_similar, _quad_pattern, weakly_similar
 from .spaces import FiniteMetricSpace, RankMatrix, rank_matrix, require_ultrametric
 
 EXHAUSTIVE_MAX_POINTS = 5
 EXHAUSTIVE_MAX_ALPHABET = 4
-
-CONJECTURE_IDS = ("equidistant", "k112", "k13")
 
 INTERPRETATION_NOTE = (
     "'weakly isometric' is read as weak similarity (a point bijection composed "
@@ -585,6 +586,9 @@ def run_campaign(spec: GeneratorSpec, which: str, jobs: int = 1) -> ConjectureRe
         orbit_sum = _orbit_sum_if_all_hold(spec, which)
 
     if spec.mode == "sample" and workers > 1:
+        # imported here: it loads multiprocessing, which no other route uses
+        from concurrent.futures import ProcessPoolExecutor
+
         trial = partial(_sample_trial, spec, which)
         instances = spec.count
         with ProcessPoolExecutor(max_workers=workers) as pool:

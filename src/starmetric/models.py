@@ -12,6 +12,10 @@ from __future__ import annotations
 from .rationals import RationalLike
 from .spaces import FiniteMetricSpace
 
+# the conjectures a campaign can check; here rather than in the lab so that
+# the command line lists them without importing the lab
+CONJECTURE_IDS = ("equidistant", "k112", "k13")
+
 
 def _quad(labels: tuple[str, str, str, str], *values: RationalLike) -> FiniteMetricSpace:
     # values in pair order (12, 13, 14, 23, 24, 34)

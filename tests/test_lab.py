@@ -207,7 +207,7 @@ class TestCampaign:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(lab, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(lab.os, "cpu_count", lambda: 3)
         spec = GeneratorSpec(n=4, alphabet=("1", "2"), mode="sample", seed=1, count=5)
         sequential = run_campaign(spec, "k13", jobs=1).to_dict()
@@ -337,7 +337,7 @@ class TestParallelEarlyStop:
         monkeypatch.setattr(
             lab, "evaluate_conjecture", lambda which, space: "flagged" if space == flagged else None
         )
-        monkeypatch.setattr(lab, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(lab.os, "cpu_count", lambda: 2)
         sequential = run_campaign(spec, "k13", jobs=1).to_dict()
         assert sequential["status"] == "COUNTEREXAMPLE"
