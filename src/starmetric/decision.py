@@ -21,7 +21,6 @@ d(p, q) = max(p, q), together with an embedding decision procedure for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
@@ -29,7 +28,7 @@ from operator import gt, le
 from typing import Optional, Sequence
 
 from . import similarity
-from .errors import InternalCheckError
+from .errors import InternalCheckError, _Record
 from .rationals import RationalLike, format_rational, parse_rational
 from .spaces import (
     FiniteMetricSpace,
@@ -47,13 +46,13 @@ class Verdict(Enum):
     FORBIDDEN = "FORBIDDEN"
 
 
-@dataclass(frozen=True)
-class CenterWitness:
+class CenterWitness(_Record):
+    _fields = ("center",)
     center: str
 
 
-@dataclass(frozen=True)
-class ForbiddenWitness:
+class ForbiddenWitness(_Record):
+    _fields = ("quad", "signature", "model")
     quad: tuple[str, str, str, str]
     signature: tuple[int, int]
     model: str  # "X4" or "Y4"
@@ -66,8 +65,8 @@ class ForbiddenWitness:
         }
 
 
-@dataclass(frozen=True)
-class DiagnosisReport:
+class DiagnosisReport(_Record):
+    _fields = ("verdict", "center", "forbidden")
     verdict: Verdict
     center: Optional[CenterWitness]
     forbidden: Optional[ForbiddenWitness]

@@ -17,18 +17,17 @@ non-neighbourhood."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import NotCompleteMultipartiteError
+from .errors import NotCompleteMultipartiteError, _Record
 from .spaces import FiniteMetricSpace, rank_matrix, spectrum
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(_Record):
     """Undirected graph on ordered string vertices, no loops."""
 
+    _fields = ("vertices", "edges")
     vertices: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
 
@@ -56,10 +55,10 @@ class SimpleGraph:
         return sum(1 for e in self.edges if v in e)
 
 
-@dataclass(frozen=True)
-class MultipartiteSignature:
+class MultipartiteSignature(_Record):
     """Sorted part sizes plus the witnessing vertex partition."""
 
+    _fields = ("sizes", "parts")
     sizes: tuple[int, ...]
     parts: tuple[tuple[str, ...], ...]
 

@@ -39,6 +39,8 @@ def _load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply to decode") from exc
 
 
 def space_from_json_text(text: str) -> FiniteMetricSpace:
@@ -46,7 +48,11 @@ def space_from_json_text(text: str) -> FiniteMetricSpace:
 
 
 def space_from_csv_text(text: str) -> FiniteMetricSpace:
-    rows = [row for row in csv.reader(io.StringIO(text)) if row and any(cell.strip() for cell in row)]
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise ParseError(f"invalid CSV at line {reader.line_num}: {exc}") from exc
     if len(rows) < 2:
         raise ParseError("CSV needs a header row of labels plus the matrix rows")
     labels, *matrix = [list(map(str.strip, row)) for row in rows]

@@ -41,7 +41,6 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations, groupby
@@ -50,7 +49,7 @@ from typing import Iterator, Optional
 
 from .decision import embeds_in_dplus
 from .diametrical import FourPointClass, _require_quad_class
-from .errors import InternalCheckError, SizeCapError
+from .errors import InternalCheckError, SizeCapError, _Record
 from .models import CONJECTURE_IDS, W4
 from .rationals import format_rational, parse_rational
 from .similarity import _pattern_weakly_similar, _quad_pattern, weakly_similar
@@ -67,10 +66,10 @@ INTERPRETATION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(_Record):
     """Parameters shared by both space generators."""
 
+    _fields = ("n", "alphabet", "mode", "seed", "count", "override_caps")
     n: int
     alphabet: tuple[Fraction, ...]
     mode: str = "exhaustive"  # "exhaustive" | "sample"
@@ -78,7 +77,8 @@ class GeneratorSpec:
     count: int = 0
     override_caps: bool = False
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.mode not in ("exhaustive", "sample"):
@@ -296,8 +296,8 @@ def generate(spec: GeneratorSpec) -> Iterator[FiniteMetricSpace]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquidistantCheck:
+class EquidistantCheck(_Record):
+    _fields = ("all_equal", "all_quads_k1111")
     all_equal: bool
     all_quads_k1111: bool
 
@@ -349,8 +349,11 @@ def check_equidistant(space: FiniteMetricSpace) -> EquidistantCheck:
     return EquidistantCheck(all_equal, all_quads)
 
 
-@dataclass(frozen=True)
-class K112Check:
+class K112Check(_Record):
+    _fields = (
+        "every_quad_k112", "every_quad_w4_similar", "whole_space_w4_similar",
+        "biconditional_violations",
+    )
     every_quad_k112: bool
     every_quad_w4_similar: bool
     whole_space_w4_similar: Optional[bool]  # None when not evaluable (n != 4)
@@ -395,8 +398,8 @@ def check_k112_conjecture(space: FiniteMetricSpace) -> K112Check:
     return K112Check(all_k112, all_w4, whole, tuple(violations))
 
 
-@dataclass(frozen=True)
-class K13Check:
+class K13Check(_Record):
+    _fields = ("statement_i", "statement_ii", "statement_iii", "disagreements")
     statement_i: bool  # every quad K13 and none weakly similar to Z4
     statement_ii: bool  # every quad weakly similar to S4
     statement_iii: bool  # the space embeds into the max-metric model
@@ -455,8 +458,11 @@ STATUS_SAMPLE = "HOLDS_ON_SAMPLE"
 STATUS_COUNTEREXAMPLE = "COUNTEREXAMPLE"
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(_Record):
+    _fields = (
+        "conjecture", "mode", "n", "alphabet", "seed", "requested", "instances", "status",
+        "counterexample", "interpretation", "wall_time_s",
+    )
     conjecture: str
     mode: str
     n: int

@@ -13,13 +13,12 @@ alone, and that answer is kept per rank pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Optional
 
 from .diametrical import FourPointClass, _quad_class
-from .errors import InternalCheckError, SizeCapError
+from .errors import InternalCheckError, SizeCapError, _Record
 from .models import MODELS, X4, Y4
 from .rationals import format_rational
 from .spaces import FiniteMetricSpace, RankMatrix, rank_matrix, require_ultrametric, spectrum
@@ -127,8 +126,7 @@ def are_isometric(
     return {a.points[i]: b.points[j] for i, j in enumerate(assign)}
 
 
-@dataclass(frozen=True)
-class WeakSimilarityWitness:
+class WeakSimilarityWitness(_Record):
     """A point bijection plus the increasing distance-set bijection it induces.
 
     ``phi`` maps points of the first space onto the second; ``f_pairs`` lists
@@ -136,6 +134,7 @@ class WeakSimilarityWitness:
     first) in increasing order, with f(0) = 0 left implicit.
     """
 
+    _fields = ("phi", "f_pairs")
     phi: tuple[tuple[str, str], ...]
     f_pairs: tuple[tuple[Fraction, Fraction], ...]
 
@@ -202,10 +201,10 @@ def weakly_similar(
     return witness
 
 
-@dataclass(frozen=True)
-class QuadModel:
+class QuadModel(_Record):
     """Model classification of a forbidden quad, with its explicit witness."""
 
+    _fields = ("model", "witness")
     model: str  # "X4" or "Y4"
     witness: WeakSimilarityWitness
 

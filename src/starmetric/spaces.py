@@ -25,12 +25,11 @@ making every operation deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping, NoReturn, Optional, Sequence
 
-from .errors import InternalCheckError, InvalidSpaceError, NotUltrametricError
+from .errors import InternalCheckError, InvalidSpaceError, NotUltrametricError, _Record
 from .rationals import RationalLike, format_rational, parse_rational
 
 
@@ -188,10 +187,10 @@ class FiniteMetricSpace:
         return f"FiniteMetricSpace({len(self.points)} points: {', '.join(self.points)})"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """A triple (x, via, y) with d(x, y) > max(d(x, via), d(via, y))."""
 
+    _fields = ("x", "via", "y", "lhs", "bound")
     x: str
     via: str
     y: str
@@ -206,10 +205,10 @@ class Violation:
         }
 
 
-@dataclass(frozen=True)
-class UltraDiagnosis:
+class UltraDiagnosis(_Record):
     """Outcome of the triangle-inequality checks over all ordered triples."""
 
+    _fields = ("is_metric", "is_ultrametric", "violation")
     is_metric: bool
     is_ultrametric: bool
     violation: Optional[Violation]
@@ -222,10 +221,10 @@ class UltraDiagnosis:
         }
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_Record):
     """The sorted distinct distances of a space, always starting at 0."""
 
+    _fields = ("values",)
     values: tuple[Fraction, ...]
 
     @property

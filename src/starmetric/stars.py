@@ -12,25 +12,24 @@ toolkit.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import le
 from typing import Mapping, Optional, Sequence
 
 from .diametrical import _dot
-from .errors import CenterViolationError, DegenerateLabelingError, InternalCheckError
+from .errors import CenterViolationError, DegenerateLabelingError, InternalCheckError, _Record
 from .rationals import RationalLike, format_rational, parse_rational
 from .spaces import FiniteMetricSpace, _nearest, rank_matrix, require_ultrametric, spectrum
 
 
-@dataclass(frozen=True)
-class LabeledTree:
+class LabeledTree(_Record):
     """A tree with an ordered vertex tuple and a label per vertex.
 
     Edges are stored index-ordered and sorted, so "first edge" is well
     defined everywhere deterministic choices are needed.
     """
 
+    _fields = ("vertices", "edges", "labels")
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     labels: tuple[Fraction, ...]
@@ -96,8 +95,7 @@ class LabeledTree:
         return adj
 
 
-@dataclass(frozen=True)
-class LabeledStarGraph:
+class LabeledStarGraph(_Record):
     """One center adjacent to every leaf, with a label on every vertex.
 
     ``order`` is the vertex sequence of :func:`star_metric`: center first from
@@ -105,13 +103,15 @@ class LabeledStarGraph:
     round trips reproduce matrices bit-exactly.
     """
 
+    _fields = ("center", "center_label", "leaves", "leaf_labels", "order")
     center: str
     center_label: Fraction
     leaves: tuple[str, ...]
     leaf_labels: tuple[Fraction, ...]
-    order: tuple[str, ...] = field(default=())
+    order: tuple[str, ...] = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if not self.order:
             object.__setattr__(self, "order", (self.center,) + self.leaves)
 

@@ -312,6 +312,23 @@ class TestContract:
         assert result.stderr.startswith(f"error: cannot read {path}: not UTF-8 text")
         assert "Traceback" not in result.stderr
 
+    def test_deeply_nested_json_is_usage_error(self, tmp_path):
+        # json.loads recurses once per level, so 200,000 levels overflow the stack
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        result = run_cli("diagnose", str(path))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: invalid JSON: nested too deeply to decode\n"
+
+    def test_csv_cell_over_the_field_limit_is_usage_error(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("a,b\n0," + "1" * 140_000 + "\n1,0\n")
+        result = run_cli("diagnose", str(path))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == (
+            "error: invalid CSV at line 2: field larger than field limit (131072)\n"
+        )
+
     def test_documented_commands_are_byte_deterministic(self, files):
         battery = [
             ("validate", files["S4"]),

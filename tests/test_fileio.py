@@ -136,6 +136,20 @@ class TestStarFiles:
 
 
 @pytest.mark.parametrize("parse", [parse_space_file, parse_star_file])
+def test_json_nested_past_the_recursion_limit_is_a_parse_error(tmp_path, parse):
+    path = tmp_path / "deep.json"
+    path.write_text('{"a": ' * 100_000)
+    with pytest.raises(ParseError, match="^invalid JSON: nested too deeply to decode$"):
+        parse(path)
+
+
+def test_csv_errors_are_parse_errors_naming_the_line():
+    text = "a,b\n0,1\n1," + "2" * 140_000 + "\n"
+    with pytest.raises(ParseError, match=r"^invalid CSV at line 3: field larger than field limit"):
+        parse_space_text(text, kind="csv")
+
+
+@pytest.mark.parametrize("parse", [parse_space_file, parse_star_file])
 def test_files_are_utf8_and_other_bytes_are_a_parse_error(tmp_path, parse):
     good, bad = tmp_path / "good.json", tmp_path / "latin1.json"
     text = '{"center": "é", "leaves": {"b": "1"}, "points": ["é"], "dist": [["0"]]}'

@@ -68,6 +68,8 @@ finally:
 """
 
 POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
+# dataclasses imports inspect, and each frozen dataclass compiles generated code
+CODEGEN_MODULES = ("dataclasses", "inspect")
 LAB_COMMANDS = ("gen", "conjecture")
 
 
@@ -118,6 +120,11 @@ class TestCommandImports:
         for name, modules in loaded.items():
             pool = [m for m in modules if m.startswith(POOL_MODULES)]
             assert pool == [], (name, pool)
+
+    def test_no_command_loads_dataclasses_or_inspect(self, loaded):
+        for name, modules in loaded.items():
+            codegen = [m for m in modules if m in CODEGEN_MODULES]
+            assert codegen == [], (name, codegen)
 
     def test_only_gen_and_conjecture_load_the_lab(self, loaded):
         assert sorted(n for n, modules in loaded.items() if "starmetric.lab" in modules) == sorted(
