@@ -4,7 +4,9 @@ Exit codes follow one contract everywhere: 0 when the queried property holds
 (space is a star space, witness produced, campaign holds), 1 for a negative
 mathematical result (forbidden quad, not weakly similar, counterexample
 found), 2 for usage or input errors.  Reports go to stdout, diagnostics to
-stderr, and identical invocations produce byte-identical stdout.
+stderr, and identical invocations produce byte-identical stdout.  A reader
+that closes stdout early, as ``head`` does, ends the command quietly with
+exit 141, the status of a process that SIGPIPE ends.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .decision import diagnose, dplus_space, find_center, forbidden_scan, shift, unshift
@@ -217,11 +220,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# 128 + SIGPIPE, as a shell reports a writer whose reader went away
+EXIT_CLOSED_PIPE = 141
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed pipe shows at the flush, so flush here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # nothing more can reach the reader; point stdout at the null
+        # device so that the flush at exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except InternalCheckError:
         raise  # a failed self-check is a bug and must crash, not exit politely
     except StarmetricError as exc:

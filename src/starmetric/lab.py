@@ -20,15 +20,18 @@ raises, the labelled scan runs from the start, so a counterexample, its
 explanation and ``instances`` are always the labelled route's; a failed
 self-check (``InternalCheckError``) propagates instead.
 
-The checks build no subspaces.  A quad's diametrical class and its weak
-similarity type depend only on the order of its six distances, so each quad
-is read off the space's int rank matrix: the class through the
-four-point classifier, the model comparisons through the quad's densely
-re-ranked pattern, matched once per (pattern, model) and verified when
-first matched.  The K112 and K13 checks decide each distinct tuple of six
-raw ranks once; the equidistance check stops at the first quad that is not
-K1111.  The two legs keep separate algorithms, so each still checks
-the other.
+The checks build no subspaces and read no quad loop.  Every four-point
+ultrametric space is weakly similar to exactly one of the six models, so
+each statement turns on which models occur among a space's quads, and a
+census walks the space's ball tree once to name one quad for each model
+that occurs.  Both generators hand over the tree they built; any other
+space has its tree split from its ranks once.  Each named quad is read off
+the space's int rank matrix: the class through the four-point classifier,
+the model comparisons through the quad's densely re-ranked pattern,
+matched once per (pattern, model) and verified when first matched.  Only a
+broken K112 biconditional reads every quad, to list each one that breaks
+it.  The equidistance check's two legs keep separate algorithms, ranks and
+tree, so each still checks the other.
 
 Only a sampled campaign with ``jobs`` > 1 starts a process pool, and only
 that route imports one: ``concurrent.futures.process``, with
@@ -52,7 +55,7 @@ from .diametrical import FourPointClass, _require_quad_class
 from .errors import InternalCheckError, SizeCapError, _Record
 from .models import CONJECTURE_IDS, W4
 from .rationals import format_rational, parse_rational
-from .similarity import _pattern_weakly_similar, _quad_pattern, weakly_similar
+from .similarity import QuadPattern, _pattern_weakly_similar, _quad_pattern, weakly_similar
 from .spaces import FiniteMetricSpace, RankMatrix, rank_matrix, require_ultrametric
 
 EXHAUSTIVE_MAX_POINTS = 5
@@ -168,9 +171,10 @@ def enumerate_ultrametrics(spec: GeneratorSpec) -> Iterator[FiniteMetricSpace]:
 _LEAF = (0, 1, ())
 
 
-def _isometry_classes(n: int, letters: int) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
+def _isometry_classes(n: int, letters: int) -> tuple[tuple[RankMatrix, int, tuple], ...]:
     """One level matrix per isometry class of ``n``-point ultrametric spaces
-    whose distances are among ``letters`` letters, each with its orbit size.
+    whose distances are among ``letters`` letters, each with its orbit size
+    and its ball tree.
 
     A finite ultrametric space is fixed up to isometry by its ball tree: the
     points are its leaves, every internal node has at least two children and
@@ -181,7 +185,8 @@ def _isometry_classes(n: int, letters: int) -> tuple[tuple[tuple[tuple[int, ...]
     stands for the ``v``-th letter and 0 for the diagonal.  The orbit size
     is the number of labelled matrices in the class: n!/|Aut|, where |Aut|
     is the product over the nodes of the factorials of the multiplicities
-    of equal child subtrees.
+    of equal child subtrees.  The tree comes in the form :func:`_census`
+    reads, with the leaves in point order.
     """
 
     @cache
@@ -209,24 +214,29 @@ def _isometry_classes(n: int, letters: int) -> tuple[tuple[tuple[tuple[int, ...]
         return tuple(found)
 
     def place(node: tuple, rows: list[list[int]], first: int) -> int:
-        # write the node's levels on leaves first, first + 1, ...; children
-        # overwrite their own blocks, and each leaf its diagonal cell
+        # write the node's levels on leaves first, first + 1, ...; child
+        # balls overwrite their own blocks, and each leaf its diagonal cell
         level, size, children = node
+        block = [level] * size
         for x in range(first, first + size):
-            rows[x][first : first + size] = [level] * size
+            rows[x][first : first + size] = block
         aut = 1
         for child in children:
-            aut *= place(child, rows, first)
+            if child[2]:
+                aut *= place(child, rows, first)
+            else:
+                rows[first][first] = 0
             first += child[1]
         for _, equal in groupby(children):
             aut *= factorial(len(list(equal)))
         return aut
 
     classes = []
+    order = tuple(range(n))
     for tree in trees(n, letters):
         rows = [[0] * n for _ in range(n)]
         aut = place(tree, rows, 0)
-        classes.append((tuple(map(tuple, rows)), factorial(n) // aut))
+        classes.append((tuple(map(tuple, rows)), factorial(n) // aut, (tree, order)))
     return tuple(classes)
 
 
@@ -250,7 +260,8 @@ def sample_dendrogram(spec: GeneratorSpec, index: int = 0) -> FiniteMetricSpace:
     the alphabet and every deeper split must use a strictly smaller one, so
     the pair distance is the level of the coarsest partition separating the
     pair.  When no smaller level remains the split is forced down to
-    singletons.  Deterministic per (seed, index).
+    singletons.  Deterministic per (seed, index).  The splits are the
+    space's ball tree, which the space keeps.
     """
     n = spec.n
     labels = _point_labels(n)
@@ -261,25 +272,34 @@ def sample_dendrogram(spec: GeneratorSpec, index: int = 0) -> FiniteMetricSpace:
     rng = random.Random(f"{spec.seed}:{index}")
     # level k stands for the k-th letter (from 1); level 0 is the diagonal
     rows = [[0] * n for _ in range(n)]
+    order: list[int] = []
 
-    def split(block: list[int], top: int) -> None:
+    def split(block: list[int], top: int) -> tuple:
         # the split's level is drawn from levels 1..top, deeper ones below it
         lower = rng.randrange(top)
         if lower:
             groups = _random_partition(block, rng)
         else:
             groups = [[x] for x in block]
-        for gi in range(len(groups)):
-            for gj in range(gi + 1, len(groups)):
-                for x in groups[gi]:
-                    for y in groups[gj]:
-                        rows[x][y] = rows[y][x] = lower + 1
+        # each pair across two groups is at the split's level
+        placed: list[int] = []
+        for group in groups:
+            for x in group:
+                row = rows[x]
+                for y in placed:
+                    row[y] = rows[y][x] = lower + 1
+            placed += group
+        children = []
         for group in groups:
             if len(group) >= 2:
-                split(group, lower)
+                children.append(split(group, lower))
+            else:
+                order.append(group[0])
+                children.append(_LEAF)
+        return (lower + 1, len(block), tuple(children))
 
-    split(list(range(n)), len(spec.alphabet))
-    return FiniteMetricSpace._trusted(labels, rows, (Fraction(0),) + spec.alphabet)
+    root = split(list(range(n)), len(spec.alphabet))
+    return FiniteMetricSpace._trusted(labels, rows, (Fraction(0),) + spec.alphabet, (root, order))
 
 
 def generate(spec: GeneratorSpec) -> Iterator[FiniteMetricSpace]:
@@ -306,35 +326,147 @@ class EquidistantCheck(_Record):
         return self.all_equal == self.all_quads_k1111
 
 
-def _quad_key(ranks: RankMatrix, quad: tuple[int, int, int, int]) -> tuple[int, ...]:
-    a, b, c, e = quad
-    ra, rb = ranks[a], ranks[b]
-    return (ra[b], ra[c], ra[e], rb[c], rb[e], ranks[c][e])
+def _split_ranks(ranks: RankMatrix) -> tuple:
+    """The ball tree of an ultrametric rank matrix on two or more points, as
+    ``(root, leaf order)``, split top down in O(n^2).
 
-
-def _distinct_quads(ranks: RankMatrix) -> dict[tuple[int, ...], tuple[int, int, int, int]]:
-    """Each distinct tuple of six pair ranks among the quads, mapped to the
-    first quad that has it.
-
-    A quad's class and its weak similarity type depend on these six ranks
-    alone, so deciding one quad per tuple decides every quad.  The dict
-    lives for one call: a cache keyed on raw ranks would grow without bound
-    over spaces with many levels.
+    A ball's level is the largest rank from its first point, and its
+    children are taken in turn: the points still unplaced that sit below
+    that level from the first of them.  Leaves are listed depth first.
     """
-    first: dict[tuple[int, ...], tuple[int, int, int, int]] = {}
-    for quad in combinations(range(len(ranks)), 4):
-        first.setdefault(_quad_key(ranks, quad), quad)
-    return first
+    order: list[int] = []
+
+    def split(block: list[int]) -> tuple:
+        first = ranks[block[0]]
+        level = max(map(first.__getitem__, block))
+        size = len(block)
+        children = []
+        while block:
+            row = ranks[block[0]]
+            inside = [x for x in block if row[x] < level]
+            block = [x for x in block if row[x] == level]
+            if len(inside) > 1:
+                children.append(split(inside))
+            else:
+                order.append(inside[0])
+                children.append(_LEAF)
+        return (level, size, tuple(children))
+
+    return split(list(range(len(ranks)))), order
+
+
+def _census(tree: tuple) -> dict[str, tuple[int, int, int, int]]:
+    """One quad, its points ascending, for each four-point model that some
+    quad of the space is weakly similar to, read off the ball tree.
+
+    ``tree`` is ``(root, leaf order)``: a node is ``(level, leaves below it,
+    children)`` with levels in the order of the distances, a leaf is
+    ``(0, 1, ())``, and each node's leaves are a run of the leaf order.  A
+    ball's pair is two points in its first two children, at exactly its
+    level.  The models occur where the ball tree has these shapes, each
+    found in one walk:
+
+    - E4: a ball with four or more children;
+    - W4: a ball with three or more children, one a ball, whose pair joins
+      points in two other children;
+    - Z4: a ball below the root with three or more children, with a point
+      outside it;
+    - S4: a ball C whose parent B is below the root: C's pair, a point in
+      another child of B, and a point outside B;
+    - Y4 and X4: the pairs of two disjoint balls at equal levels (two balls
+      at one level are always disjoint) and at different levels.  Two child
+      balls of one node give X4 when their levels differ; when every child
+      ball of a node has one level, a ball inside any of them gives X4 with
+      another's pair.
+    """
+    root, order = tree
+    n = root[1]
+    e4 = w4 = z4 = s4 = x4 = y4 = None
+    pair_at: dict[int, tuple[int, int]] = {}
+    stack = [(root, 0)]
+    while stack:
+        node, first = stack.pop()
+        level, size, children = node
+        k = len(children)
+        starts = []
+        balls = []
+        at = first
+        for child in children:
+            starts.append(at)
+            if child[2]:
+                balls.append((child, at))
+            at += child[1]
+        stack += balls
+        pair = (order[first], order[starts[1]])
+        if level not in pair_at:
+            pair_at[level] = pair
+        elif y4 is None:
+            y4 = pair_at[level] + pair
+        # a point outside the node, for a node below the root
+        outside = order[first - 1 if first else size] if size < n else None
+        if k >= 4 and e4 is None:
+            e4 = [order[at] for at in starts[:4]]
+        if k >= 3 and outside is not None and z4 is None:
+            z4 = (order[starts[0]], order[starts[1]], order[starts[2]], outside)
+        if not balls:
+            continue
+        ball, ball_at = balls[0]
+        ball_pair = (order[ball_at], order[ball_at + ball[2][0][1]])
+        if k >= 3 and w4 is None or outside is not None and s4 is None:
+            others = [order[at] for at in starts if at != ball_at]
+            if k >= 3:
+                w4 = w4 or (*ball_pair, *others[:2])
+            if outside is not None:
+                s4 = s4 or (*ball_pair, others[0], outside)
+        if len(balls) >= 2 and x4 is None:
+            for child, at in balls[1:]:
+                if child[0] != ball[0]:
+                    x4 = (*ball_pair, order[at], order[at + child[2][0][1]])
+                    break
+            else:
+                # the child balls share one level; the first ball inside one
+                # of them, after j leaves, holds two closer points
+                for i, (child, at) in enumerate(balls):
+                    j = next((j for j, grandchild in enumerate(child[2]) if grandchild[2]), None)
+                    if j is not None:
+                        mate, mate_at = balls[1 if i == 0 else 0]
+                        mate_pair = (order[mate_at], order[mate_at + mate[2][0][1]])
+                        x4 = (order[at + j], order[at + j + 1], *mate_pair)
+                        break
+    found = {"E4": e4, "W4": w4, "Z4": z4, "S4": s4, "X4": x4, "Y4": y4}
+    return {model: tuple(sorted(quad)) for model, quad in found.items() if quad is not None}
+
+
+def _census_quads(space: FiniteMetricSpace) -> list[tuple[tuple[int, int, int, int], QuadPattern]]:
+    """The census quads of an ultrametric space, each with its rank pattern.
+
+    The ball tree is the one a generator handed over, or is split from the
+    ranks once and kept.  Each quad named for a model must be weakly similar
+    to it, through the verified pattern memo, or the census is wrong.
+    """
+    ranks = rank_matrix(space)
+    if space._ball_tree is None:
+        space._ball_tree = _split_ranks(ranks)
+    quads = []
+    for model, quad in _census(space._ball_tree).items():
+        pattern = _quad_pattern(ranks, quad)
+        if not _pattern_weakly_similar(pattern, model):
+            raise InternalCheckError(
+                f"the ball-tree census named quad {quad} for model {model}, "
+                "which it is not weakly similar to"
+            )
+        quads.append((quad, pattern))
+    return quads
 
 
 def check_equidistant(space: FiniteMetricSpace) -> EquidistantCheck:
     """Equidistance versus all-quads-K1111, evaluated independently.
 
-    Both sides read the space's rank matrix: all distances are equal iff
-    every off-diagonal rank is 1, and each quad is classified on its ranks
-    in place.  The two sides are provably equivalent for ultrametric spaces,
-    so a disagreement in the returned record indicates a bug, not
-    mathematics.
+    All distances are equal iff every off-diagonal rank is 1.  Every quad is
+    K1111 iff every census quad is, one per model that occurs, each
+    classified on its ranks in place.  The two sides are provably equivalent
+    for ultrametric spaces, so a disagreement in the returned record
+    indicates a bug, not mathematics.
     """
     if space.n < 4:
         raise ValueError("equidistance check needs at least four points")
@@ -342,11 +474,8 @@ def check_equidistant(space: FiniteMetricSpace) -> EquidistantCheck:
     n = space.n
     ranks = rank_matrix(space)
     all_equal = all(ranks[i][j] == 1 for i in range(n) for j in range(i + 1, n))
-    all_quads = all(
-        _require_quad_class(ranks, quad) is FourPointClass.K1111
-        for quad in combinations(range(n), 4)
-    )
-    return EquidistantCheck(all_equal, all_quads)
+    classes = {_require_quad_class(ranks, quad) for quad, _ in _census_quads(space)}
+    return EquidistantCheck(all_equal, classes == {FourPointClass.K1111})
 
 
 class K112Check(_Record):
@@ -371,8 +500,11 @@ class K112Check(_Record):
 def check_k112_conjecture(space: FiniteMetricSpace) -> K112Check:
     """Per-quad biconditional: classifies K112 iff weakly similar to W4.
 
-    Each quad is read from the space's rank matrix: its class through the
-    four-point classifier, its W4 similarity through its re-ranked pattern.
+    Each census quad is read from the space's rank matrix: its class through
+    the four-point classifier, its W4 similarity through its pattern.  Both
+    depend only on the quad's model, so a census quad that breaks the
+    biconditional stands for every quad of its model; only then are all
+    quads read, to list each one that breaks it.
     """
     if space.n < 4:
         raise ValueError("K112 conjecture check needs at least four points")
@@ -381,21 +513,23 @@ def check_k112_conjecture(space: FiniteMetricSpace) -> K112Check:
     ranks = rank_matrix(space)
     all_k112 = True
     all_w4 = True
-    broken = set()
-    for key, quad in _distinct_quads(ranks).items():
+    broken = False
+    for quad, pattern in _census_quads(space):
         is_k112 = _require_quad_class(ranks, quad) is FourPointClass.K112
-        is_w4 = _pattern_weakly_similar(_quad_pattern(ranks, quad), "W4")
+        is_w4 = _pattern_weakly_similar(pattern, "W4")
         all_k112 = all_k112 and is_k112
         all_w4 = all_w4 and is_w4
-        if is_k112 != is_w4:
-            broken.add(key)
-    violations = []
+        broken = broken or is_k112 != is_w4
+    violations = ()
     if broken:
-        for quad in combinations(range(n), 4):
-            if _quad_key(ranks, quad) in broken:
-                violations.append(tuple(space.points[i] for i in quad))
+        violations = tuple(
+            tuple(space.points[i] for i in quad)
+            for quad in combinations(range(n), 4)
+            if (_require_quad_class(ranks, quad) is FourPointClass.K112)
+            != _pattern_weakly_similar(_quad_pattern(ranks, quad), "W4")
+        )
     whole = (weakly_similar(space, W4) is not None) if n == 4 else None
-    return K112Check(all_k112, all_w4, whole, tuple(violations))
+    return K112Check(all_k112, all_w4, whole, violations)
 
 
 class K13Check(_Record):
@@ -417,8 +551,8 @@ class K13Check(_Record):
 def check_k13_conjecture(space: FiniteMetricSpace) -> K13Check:
     """Evaluate the three K13 statements independently and compare them.
 
-    The per-quad statements read each quad from the space's rank matrix, as
-    :func:`check_k112_conjecture` does.
+    The per-quad statements read each census quad from the space's rank
+    matrix, as :func:`check_k112_conjecture` does.
     """
     if space.n < 4:
         raise ValueError("K13 conjecture check needs at least four points")
@@ -427,10 +561,9 @@ def check_k13_conjecture(space: FiniteMetricSpace) -> K13Check:
     all_k13 = True
     any_z4 = False
     all_s4 = True
-    for quad in _distinct_quads(ranks).values():
+    for quad, pattern in _census_quads(space):
         if _require_quad_class(ranks, quad) is not FourPointClass.K13:
             all_k13 = False
-        pattern = _quad_pattern(ranks, quad)
         if _pattern_weakly_similar(pattern, "Z4"):
             any_z4 = True
         if not _pattern_weakly_similar(pattern, "S4"):
@@ -546,9 +679,9 @@ def _orbit_sum_if_all_hold(spec: GeneratorSpec, which: str) -> Optional[int]:
     labels = _point_labels(spec.n)
     values = (Fraction(0),) + spec.alphabet
     total = 0
-    for rows, orbit in _isometry_classes(spec.n, len(spec.alphabet)):
+    for rows, orbit, tree in _isometry_classes(spec.n, len(spec.alphabet)):
         try:
-            outcome = evaluate_conjecture(which, FiniteMetricSpace._trusted(labels, rows, values))
+            outcome = evaluate_conjecture(which, FiniteMetricSpace._trusted(labels, rows, values, tree))
         except InternalCheckError:
             # a failed self-check is a bug to report, not a case to rescan
             raise

@@ -16,11 +16,11 @@ The ``Fraction`` matrix ``dist`` is built on first read, for the routes that
 sum or copy whole rows of values: ``validate``'s metric flag and
 :func:`adjoin_near`; :meth:`FiniteMetricSpace.to_dict` formats each spectrum
 value once instead.  Spaces are immutable and operations return new values.
-The matrix of values, the first strong-triangle violation and each point's
-nearest-neighbour rank are found once per space, on first use; they are pure
-functions of the immutable ranks and spectrum, so concurrent use still needs
-no locks.  Tie-breaking is always lexicographic in the stored point order,
-making every operation deterministic.
+The matrix of values, the first strong-triangle violation, each point's
+nearest-neighbour rank and the ball tree are found once per space, on first
+use; they are pure functions of the immutable ranks and spectrum, so
+concurrent use still needs no locks.  Tie-breaking is always lexicographic
+in the stored point order, making every operation deterministic.
 """
 
 from __future__ import annotations
@@ -37,7 +37,10 @@ class FiniteMetricSpace:
     """Ordered point labels plus an exact symmetric distance matrix, held as
     the matrix's spectrum and int rank matrix."""
 
-    __slots__ = ("points", "_dist", "_pos", "_violation", "_nearest_ranks", "_spectrum", "_rank_matrix")
+    __slots__ = (
+        "points", "_dist", "_pos", "_violation", "_nearest_ranks", "_spectrum", "_rank_matrix",
+        "_ball_tree",
+    )
 
     def __init__(self, points: Sequence[str], dist: Sequence[Sequence[RationalLike]]):
         pts = tuple(points)
@@ -68,7 +71,11 @@ class FiniteMetricSpace:
 
     @classmethod
     def _trusted(
-        cls, points: tuple[str, ...], levels: Sequence[Sequence[int]], values: Sequence[Fraction]
+        cls,
+        points: tuple[str, ...],
+        levels: Sequence[Sequence[int]],
+        values: Sequence[Fraction],
+        tree: Optional[tuple] = None,
     ) -> "FiniteMetricSpace":
         """A space from data whose axioms the caller has already checked.
 
@@ -77,30 +84,35 @@ class FiniteMetricSpace:
         ``values[0]`` is 0.  The levels are re-ranked densely and the used
         values become the spectrum; nothing is parsed or checked, no
         ``Fraction`` matrix is built, and the labels must be valid and unique.
+        A generator that built the space from its ball tree hands the tree
+        over as ``tree``, kept as it is in the ball-tree memo.
         """
         used = sorted(set().union(*levels))
-        dense = [0] * (used[-1] + 1)
-        for rank, level in enumerate(used):
-            dense[level] = rank
+        if used[-1] == len(used) - 1:
+            # already dense, as a generator's levels often are
+            ranks = tuple(map(tuple, levels))
+        else:
+            dense = [0] * (used[-1] + 1)
+            for rank, level in enumerate(used):
+                dense[level] = rank
+            ranks = tuple(tuple(map(dense.__getitem__, row)) for row in levels)
         space = cls.__new__(cls)
-        space._set(
-            tuple(points),
-            tuple(tuple(map(dense.__getitem__, row)) for row in levels),
-            Spectrum(tuple(values[level] for level in used)),
-        )
+        space._set(tuple(points), ranks, Spectrum(tuple(values[level] for level in used)), tree)
         return space
 
-    def _set(self, points, ranks, spec) -> None:
+    def _set(self, points, ranks, spec, tree=None) -> None:
         self.points = points
         self._pos = {p: i for i, p in enumerate(points)}
         self._rank_matrix = ranks
         self._spectrum = spec
-        # the Fraction matrix, the first strong-triangle violation and the
-        # nearest-neighbour ranks, built on first use; equality and hashing
-        # read none of them
+        # the Fraction matrix, the first strong-triangle violation, the
+        # nearest-neighbour ranks and the ball tree, built on first use unless
+        # handed over; equality and hashing read none of them
         self._dist = None
         self._violation = False  # not yet checked, then None or a Violation
         self._nearest_ranks = None
+        # (root, leaf order) as ``lab`` builds and reads it; see there
+        self._ball_tree = tree
 
     @property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -354,30 +366,33 @@ def _mst_edges(dist: Sequence[Sequence[int]]):
                 parent[u] = v
 
 
-def _equals_subdominant(dist: Sequence[Sequence[int]]) -> bool:
-    """Whether ``dist`` equals its subdominant ultrametric, the path maximum
-    over a minimum spanning tree, which holds exactly for ultrametrics.
+def _subdominant_unless_equal(dist: Sequence[Sequence[int]]) -> Optional[list[list[int]]]:
+    """None when ``dist`` equals its subdominant ultrametric, the path maximum
+    over a minimum spanning tree, which holds exactly for ultrametrics; else
+    that subdominant ultrametric.
 
     Checked as vertices join the tree: every pair already inside holds the
     path maximum, so v joining through parent p at weight w needs
-    d(v, u) == max(w, d(p, u)) for each u inside.  O(n^2).
+    d(v, u) == max(w, d(p, u)) for each u inside.  At the first pair that
+    fails, the same tree goes on growing to fill in the rest.  O(n^2).
     """
     tree = [0]
-    for v, p, w in _mst_edges(dist):
+    edges = _mst_edges(dist)
+    for v, p, w in edges:
         row_v, row_p = dist[v], dist[p]
         for u in tree:
             if row_v[u] != (w if w >= row_p[u] else row_p[u]):
-                return False
+                return _finish_subdominant(dist, tree, chain([(v, p, w)], edges))
         tree.append(v)
-    return True
+    return None
 
 
-def _subdominant(dist: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The subdominant ultrametric of ``dist``, by the recurrence of
-    :func:`_equals_subdominant`, every pair filled as its later vertex joins."""
-    sub = [[0] * len(dist) for _ in dist]
-    tree = [0]
-    for v, p, w in _mst_edges(dist):
+def _finish_subdominant(dist, tree: list[int], edges) -> list[list[int]]:
+    """The subdominant ultrametric of ``dist``, given that the pairs inside
+    ``tree`` already hold their path maxima: each vertex still to join fills
+    its pairs by the recurrence of :func:`_subdominant_unless_equal`."""
+    sub = [list(row) for row in dist]
+    for v, p, w in edges:
         row_v, row_p = sub[v], sub[p]
         for u in tree:
             row_v[u] = sub[u][v] = w if w >= row_p[u] else row_p[u]
@@ -387,29 +402,28 @@ def _subdominant(dist: Sequence[Sequence[int]]) -> list[list[int]]:
 
 def _first_violation(space: FiniteMetricSpace) -> Optional[Violation]:
     """The first strong-triangle violation, or None, computed once per space:
-    the O(n^2) subdominant check accepts, :func:`_scan_violation` names the triple."""
+    the O(n^2) subdominant check accepts, or hands the subdominant to
+    :func:`_scan_violation`, which names the triple."""
     if space._violation is False:
-        space._violation = (
-            None if _equals_subdominant(space._rank_matrix) else _scan_violation(space)
-        )
+        sub = _subdominant_unless_equal(space._rank_matrix)
+        space._violation = None if sub is None else _scan_violation(space, sub)
     return space._violation
 
 
-def _scan_violation(space: FiniteMetricSpace) -> Violation:
+def _scan_violation(space: FiniteMetricSpace, sub: list[list[int]]) -> Violation:
     """The first ordered triple (a, b, c) in point order with d(a, c) > max(d(a, b), d(b, c)),
     found on the ranks in O(n^2); its two distances are mapped back to values.
 
     Its a is the first row that differs from the subdominant ultrametric u,
-    so only that row's pairs (b, c) are scanned: a violating (a, b, c) has
-    u(a, c) < d(a, c), and if u(a, c) < d(a, c), the first point p on a
-    minimax path from a to c with d(a, p) > u(a, c) makes (a, q, p) one,
-    where q is the point before p."""
+    ``sub``, so only that row's pairs (b, c) are scanned: a violating
+    (a, b, c) has u(a, c) < d(a, c), and if u(a, c) < d(a, c), the first
+    point p on a minimax path from a to c with d(a, p) > u(a, c) makes
+    (a, q, p) one, where q is the point before p."""
     dist, points, values = space._rank_matrix, space.points, space._spectrum.values
     n = len(points)
-    sub = _subdominant(dist)
     for a in range(n):
         row_a = dist[a]
-        if list(row_a) == sub[a]:
+        if row_a == tuple(sub[a]):
             continue
         for b in range(n):
             if b == a:

@@ -40,6 +40,7 @@ from starmetric import (
     classify_four_point,
     embeds_in_dplus,
     rank_matrix,
+    model_match,
     restrict,
     sample_dendrogram,
     spectrum,
@@ -192,6 +193,48 @@ def multipartite_oracle(graph: SimpleGraph):
     return MultipartiteSignature(tuple(len(p) for p in parts), tuple(tuple(p) for p in parts))
 
 
+def quad_key(ranks, quad):
+    """The quad's six pair ranks, in pair order."""
+    a, b, c, e = quad
+    return (ranks[a][b], ranks[a][c], ranks[a][e], ranks[b][c], ranks[b][e], ranks[c][e])
+
+
+def distinct_quads(ranks):
+    """Each distinct tuple of six pair ranks among the quads, mapped to the
+    first quad that has it: the quartic loop over all C(n, 4) quads."""
+    first = {}
+    for quad in combinations(range(len(ranks)), 4):
+        first.setdefault(quad_key(ranks, quad), quad)
+    return first
+
+
+def model_set_oracle(space: FiniteMetricSpace) -> set:
+    """The four-point models that some quad of the space is weakly similar
+    to, by the quartic loop: one quad per distinct six-rank tuple, built as a
+    subspace and matched by the public ``model_match``."""
+    return {
+        model_match(restrict(space, [space.points[i] for i in quad]))
+        for quad in distinct_quads(rank_matrix(space)).values()
+    }
+
+
+def tree_form(tree, rank_of=None):
+    """A ball tree ``(root, leaf order)`` as nested frozensets: a leaf is its
+    point, a ball is ``(level, frozenset of its children)``, with each level
+    mapped through ``rank_of`` when given.  Equal forms are equal trees,
+    whatever the order of the children and of the leaves."""
+    root, order = tree
+    leaves = iter(order)
+
+    def form(node):
+        level, size, children = node
+        if not children:
+            return next(leaves)
+        return (rank_of[level] if rank_of else level, frozenset(form(child) for child in children))
+
+    return form(root)
+
+
 def conjecture_oracle(which: str, space: FiniteMetricSpace):
     """Reference for the three conjecture checks: every quad is built as a
     subspace with ``restrict``, then classified by ``classify_four_point``
@@ -308,6 +351,18 @@ def equals_subdominant_oracle(dist) -> bool:
             return False
         tree.append(v)
     return True
+
+
+def subdominant_oracle(dist):
+    """The subdominant ultrametric by minimax paths, Floyd-Warshall style:
+    each pair's least, over all paths, of the largest step on the path."""
+    n = len(dist)
+    sub = [list(row) for row in dist]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                sub[i][j] = min(sub[i][j], max(sub[i][k], sub[k][j]))
+    return sub
 
 
 def violating_triple_oracle(dist):

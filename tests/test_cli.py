@@ -272,6 +272,37 @@ class TestContract:
     def test_missing_file_is_usage_error(self):
         assert run_cli("diagnose", "/nonexistent.json").returncode == 2
 
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_a_reader_that_closes_the_pipe_ends_the_command_quietly(self, unbuffered):
+        # 1,304 lines of matrices overfill the pipe, so the writer is still
+        # writing when the reader goes
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "starmetric", "gen", "--n", "5", "--alphabet", "1,2,3,4"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == cli.EXIT_CLOSED_PIPE == 141
+        assert stderr == b""
+
+    def test_a_report_into_a_closed_pipe_ends_the_command_quietly(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "starmetric", "conjecture", "--which", "k13", "--n", "8",
+                 "--alphabet", "1,2,3,4", "--mode", "sample", "--seed", "1", "--count", "20"],
+                stdout=write, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == cli.EXIT_CLOSED_PIPE
+        # at most the wall-time line, which goes to stderr before the flush
+        assert all(line.startswith("wall time: ") for line in proc.stderr.splitlines()), proc.stderr
+
     def test_files_are_read_as_utf8_whatever_the_locale(self, tmp_path):
         path = tmp_path / "accents.json"
         space = {"points": ["é", "b", "c"], "dist": [["0", "1", "2"], ["1", "0", "2"], ["2", "2", "0"]]}

@@ -409,13 +409,13 @@ class TestUltrametricGuard:
 
     def test_diagnose_then_star_checks_the_space_once(self, monkeypatch):
         calls = []
-        subdominant = spaces._equals_subdominant
+        subdominant = spaces._subdominant_unless_equal
 
         def counted(dist):
             calls.append(len(dist))
             return subdominant(dist)
 
-        monkeypatch.setattr(spaces, "_equals_subdominant", counted)
+        monkeypatch.setattr(spaces, "_subdominant_unless_equal", counted)
         space = star_metric(random_star(random.Random(74), max_leaves=20))
         report = diagnose(space)
         assert report.verdict is Verdict.US
@@ -449,3 +449,32 @@ class TestUltrametricGuard:
         assert report.verdict is Verdict.US
         star_from_center(space, report.center.center)
         assert len(fills) == 1 and trees == [space.n]
+
+    def test_a_rejected_space_grows_one_spanning_tree(self, monkeypatch):
+        # the Prim pass that rejects the space goes on to finish its
+        # subdominant ultrametric, from which the violating triple is read
+        trees = []
+        mst_edges = spaces._mst_edges
+
+        def counted(dist):
+            trees.append(len(dist))
+            return mst_edges(dist)
+
+        monkeypatch.setattr(spaces, "_mst_edges", counted)
+        rng = random.Random(76)
+        rejected = 0
+        while rejected < 20:
+            base = star_metric(random_star(rng, max_leaves=20))
+            if base.n < 3:
+                continue
+            rows = [list(row) for row in base.dist]
+            i, j = rng.sample(range(base.n), 2)
+            rows[i][j] = rows[j][i] = rows[i][j] * 3 + 1
+            space = FiniteMetricSpace(base.points, rows)
+            trees.clear()
+            if validate(space).is_ultrametric:
+                continue
+            rejected += 1
+            with pytest.raises(NotUltrametricError):
+                diagnose(space)
+            assert trees == [space.n]

@@ -1,14 +1,15 @@
 """Generators, conjecture checks, and campaign plumbing."""
 
+import hashlib
 import json
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
 from starmetric import (
     E4,
-    FourPointClass,
     GeneratorSpec,
     InternalCheckError,
     S4,
@@ -24,12 +25,15 @@ from starmetric import (
     dplus_space,
     enumerate_ultrametrics,
     equidistant,
+    model_match,
+    restrict,
     run_campaign,
     sample_dendrogram,
+    spectrum,
     validate,
 )
 from starmetric import lab, similarity
-from helpers import brute_force_ultrametrics, conjecture_oracle
+from helpers import brute_force_ultrametrics, conjecture_oracle, model_set_oracle, tree_form
 
 CHECKS = {
     "equidistant": check_equidistant,
@@ -377,20 +381,20 @@ class TestIsometryClasses:
     def test_orbit_sizes_sum_to_the_labelled_count(self, n, k):
         spec = GeneratorSpec(n=n, alphabet=LETTERS[:k], override_caps=True)
         classes = lab._isometry_classes(n, k)
-        assert sum(orbit for _, orbit in classes) == len(list(enumerate_ultrametrics(spec)))
+        assert sum(orbit for _, orbit, _ in classes) == len(list(enumerate_ultrametrics(spec)))
 
     @pytest.mark.parametrize("k, labelled, classes", [(3, 167_894, 223), (4, 1_855_570, 1_344)])
     def test_eight_points_match_the_multichain_counts(self, k, labelled, classes):
         found = lab._isometry_classes(8, k)
         assert len(found) == classes
-        assert sum(orbit for _, orbit in found) == labelled
+        assert sum(orbit for _, orbit, _ in found) == labelled
 
     @pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 6) for k in range(1, 5)])
     def test_each_labelled_space_is_isometric_to_one_representative(self, n, k):
         # the canonical form of a level matrix is a complete isometry invariant
         spec = GeneratorSpec(n=n, alphabet=LETTERS[:k])
         orbits = Counter()
-        for rows, orbit in lab._isometry_classes(n, k):
+        for rows, orbit, _ in lab._isometry_classes(n, k):
             space = lab.FiniteMetricSpace._trusted(lab._point_labels(n), rows, (0,) + spec.alphabet)
             assert validate(space).is_ultrametric
             assert canonical_form(rows) not in orbits
@@ -423,7 +427,7 @@ class TestIsometryClasses:
     def test_a_failing_class_reports_the_first_labelled_counterexample(self, monkeypatch, which):
         spec = GeneratorSpec(n=5, alphabet=("1", "2", "3"))
         # flag every member of one class
-        rows, _ = lab._isometry_classes(5, 3)[-2]
+        rows, _, _ = lab._isometry_classes(5, 3)[-2]
         flagged = canonical_form(rows)
         level = {v: i for i, v in enumerate((0,) + spec.alphabet)}
 
@@ -478,11 +482,11 @@ class TestIsometryClasses:
 
 
 class TestQuadMemo:
-    """The K112 and K13 checks decide one quad per distinct tuple of six pair
-    ranks; the equidistance check stops at the first quad that is not K1111."""
+    """The checks decide one census quad per four-point model that occurs;
+    only a broken K112 biconditional reads every quad."""
 
     @pytest.mark.parametrize("which", sorted(CHECKS))
-    def test_one_class_decision_per_distinct_rank_tuple(self, monkeypatch, which):
+    def test_one_class_decision_per_model_that_occurs(self, monkeypatch, which):
         spec = GeneratorSpec(n=8, alphabet=("1", "2", "3", "4"), mode="sample", seed=17, count=40)
         classify = lab._require_quad_class
         for index in range(spec.count):
@@ -490,24 +494,15 @@ class TestQuadMemo:
             seen = []
 
             def counted(ranks, quad):
-                seen.append(lab._quad_key(ranks, quad))
+                seen.append(quad)
                 return classify(ranks, quad)
 
             monkeypatch.setattr(lab, "_require_quad_class", counted)
             CHECKS[which](space)
-            ranks = lab.rank_matrix(space)
-            quads = list(combinations(range(space.n), 4))
-            if which == "equidistant":
-                # the plain loop decides quads in order up to the first that
-                # is not K1111
-                stop = next(
-                    (i for i, quad in enumerate(quads) if classify(ranks, quad) is not FourPointClass.K1111),
-                    len(quads) - 1,
-                )
-                assert seen == [lab._quad_key(ranks, quad) for quad in quads[: stop + 1]]
-            else:
-                assert len(seen) == len(set(seen))
-                assert set(seen) == {lab._quad_key(ranks, quad) for quad in quads}
+            assert all(list(quad) == sorted(set(quad)) for quad in seen), seen
+            models = [model_match(restrict(space, [space.points[i] for i in quad])) for quad in seen]
+            assert len(models) == len(set(models))
+            assert set(models) == model_set_oracle(space), index
 
     @pytest.mark.parametrize("which", sorted(CHECKS))
     def test_every_space_to_six_points_over_three_letters(self, which):
@@ -525,20 +520,123 @@ class TestQuadMemo:
             assert CHECKS[which](space) == conjecture_oracle(which, space), index
 
     def test_k112_lists_every_violating_quad_in_order(self, monkeypatch):
-        # W4-similarity is read off for each distinct tuple; flipping it for
-        # one pattern makes every quad with that pattern a violation
+        # W4 similarity flipped for every pattern of S4 makes every S4 quad,
+        # and no other, break the biconditional
         space = adjoin_near(adjoin_near(W4, "w1", "1/2"), "w2", "1/4")
-        target = lab._quad_pattern(lab.rank_matrix(space), (0, 1, 2, 3))
         similar = lab._pattern_weakly_similar
         monkeypatch.setattr(
             lab, "_pattern_weakly_similar",
-            lambda pattern, model: similar(pattern, model) != (pattern == target),
+            lambda pattern, model: similar(pattern, model) != (model == "W4" and similar(pattern, "S4")),
         )
-        ranks = lab.rank_matrix(space)
-        expected = tuple(
-            tuple(space.points[i] for i in quad)
-            for quad in combinations(range(space.n), 4)
-            if lab._quad_pattern(ranks, quad) == target
-        )
-        assert len(expected) > 1
+        quads = [tuple(space.points[i] for i in quad) for quad in combinations(range(space.n), 4)]
+        models = [model_match(restrict(space, quad)) for quad in quads]
+        expected = tuple(quad for quad, model in zip(quads, models) if model == "S4")
+        assert len(expected) > 1 and {"W4", "X4"} <= set(models)
         assert check_k112_conjecture(space).biconditional_violations == expected
+
+    def test_a_census_quad_of_the_wrong_model_raises(self, monkeypatch):
+        census = lab._census
+
+        def mislabelled(tree):
+            return {"Z4" if model == "S4" else model: quad for model, quad in census(tree).items()}
+
+        monkeypatch.setattr(lab, "_census", mislabelled)
+        with pytest.raises(InternalCheckError, match="census named quad"):
+            check_k13_conjecture(dplus_space([1, 2, 3, 4, 5]))
+
+
+def census_models(space):
+    """The models the census names for an ultrametric space, each checked to
+    name an ascending quad of distinct points that matches its model."""
+    lab.require_ultrametric(space)
+    tree = space._ball_tree or lab._split_ranks(lab.rank_matrix(space))
+    found = lab._census(tree)
+    for model, quad in found.items():
+        assert list(quad) == sorted(set(quad)) and len(quad) == 4, (model, quad)
+        assert model_match(restrict(space, [space.points[i] for i in quad])) == model, (model, quad)
+    return set(found)
+
+
+def level_ranks(space, values):
+    """Each generator level's rank in the space: ``values[level]`` is its distance."""
+    used = spectrum(space).values
+    return {level: used.index(value) for level, value in enumerate(values) if value in used}
+
+
+# the sha256 of the JSON of every sample in SAMPLED_CORPUS, one per line,
+# as the sampler drew them before it handed its ball tree over
+SAMPLED_DIGEST = "ea2f61c2462239f8b0e20e08c22525836b0e3d30b3763c43c9c6d85b347c3651"
+SAMPLED_CORPUS = [
+    (seed, n, alphabet, index)
+    for seed in (1, 7, 23)
+    for n in (1, 2, 3, 4, 5, 8, 12, 16)
+    for alphabet in (("1",), ("1", "2"), ("1/2", "1", "3", "7"), ("1", "2", "3", "4", "5", "6"))
+    for index in range(20)
+]
+
+
+class TestCensus:
+    """The census names one quad per four-point model that occurs, read off
+    the ball tree; the quartic loop over every quad is the oracle."""
+
+    def test_every_labelled_space_to_six_points_over_three_letters(self):
+        for n in (4, 5, 6):
+            for k in (1, 2, 3):
+                spec = GeneratorSpec(n=n, alphabet=LETTERS[:k], override_caps=True)
+                for space in enumerate_ultrametrics(spec):
+                    assert census_models(space) == model_set_oracle(space), space.dist
+
+    def test_every_isometry_class_to_eight_points_over_three_letters(self):
+        values = (0,) + LETTERS[:3]
+        for n in range(4, 9):
+            for rows, _, tree in lab._isometry_classes(n, 3):
+                space = lab.FiniteMetricSpace._trusted(lab._point_labels(n), rows, values, tree)
+                assert census_models(space) == model_set_oracle(space), rows
+
+    def test_seeded_samples_to_sixteen_points(self):
+        for index in range(390):
+            n = 4 + index % 13
+            alphabet = ("1", "2", "3", "4", "5", "6")[: 1 + index % 6]
+            space = sample_dendrogram(GeneratorSpec(n=n, alphabet=alphabet, mode="sample", seed=41), index)
+            assert census_models(space) == model_set_oracle(space), index
+
+    def test_a_handed_over_tree_equals_the_tree_split_from_the_ranks(self):
+        for n in range(2, 9):
+            for k in (1, 2, 3, 4):
+                values = (Fraction(0),) + tuple(map(Fraction, LETTERS[:k]))
+                for rows, _, tree in lab._isometry_classes(n, k):
+                    space = lab.FiniteMetricSpace._trusted(lab._point_labels(n), rows, values, tree)
+                    assert space._ball_tree is tree
+                    split = lab._split_ranks(lab.rank_matrix(space))
+                    assert tree_form(tree, level_ranks(space, values)) == tree_form(split), rows
+        for index in range(300):
+            spec = GeneratorSpec(n=2 + index % 15, alphabet=LETTERS, mode="sample", seed=43)
+            space = sample_dendrogram(spec, index)
+            values = (Fraction(0),) + spec.alphabet
+            split = lab._split_ranks(lab.rank_matrix(space))
+            assert tree_form(space._ball_tree, level_ranks(space, values)) == tree_form(split), index
+
+    def test_generated_spaces_are_never_split_and_others_once(self, monkeypatch):
+        split = lab._split_ranks
+        calls = []
+
+        def counted(ranks):
+            calls.append(len(ranks))
+            return split(ranks)
+
+        monkeypatch.setattr(lab, "_split_ranks", counted)
+        for which in sorted(CHECKS):
+            run_campaign(GeneratorSpec(n=8, alphabet=LETTERS, mode="sample", seed=5, count=50), which)
+            run_campaign(GeneratorSpec(n=5, alphabet=LETTERS[:3]), which)
+        assert calls == []
+        space = dplus_space([1, 2, 3, 4, 5, 6])
+        for check in CHECKS.values():
+            check(space)
+        assert calls == [6]
+
+    def test_sampled_matrices_are_unchanged(self):
+        digest = hashlib.sha256()
+        for seed, n, alphabet, index in SAMPLED_CORPUS:
+            spec = GeneratorSpec(n=n, alphabet=alphabet, mode="sample", seed=seed)
+            digest.update(json.dumps(sample_dendrogram(spec, index).to_dict()).encode() + b"\n")
+        assert digest.hexdigest() == SAMPLED_DIGEST

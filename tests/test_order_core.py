@@ -27,7 +27,7 @@ from starmetric import (
 from starmetric import cli, lab
 from starmetric.fileio import parse_space_file, space_to_json_text
 from starmetric.rationals import parse_rational
-from starmetric.spaces import _equals_subdominant, _rank_values, _scan_violation
+from starmetric.spaces import _rank_values, _scan_violation, _subdominant_unless_equal
 from starmetric.stars import center_condition_violation
 from helpers import (
     center_condition_violation_oracle,
@@ -41,6 +41,7 @@ from helpers import (
     outcome,
     sample_space,
     scan_violation_oracle,
+    subdominant_oracle,
     validate_oracle,
 )
 
@@ -261,13 +262,15 @@ class TestKernelsOnRanks:
         seen = {"ultrametric": 0, "not ultrametric": 0, "forbidden": 0, "embeds": 0}
         for space in agreement_spaces():
             ultra = equals_subdominant_oracle(space.dist)
-            assert _equals_subdominant(rank_matrix(space)) == ultra
+            sub = _subdominant_unless_equal(rank_matrix(space))
+            assert (sub is None) == ultra
             assert validate(space) == validate_oracle(space)
             for p in space.points:
                 assert center_condition_violation(space, p) == center_condition_violation_oracle(space, p)
             if not ultra:
                 seen["not ultrametric"] += 1
-                assert _scan_violation(space) == scan_violation_oracle(space)
+                assert sub == subdominant_oracle(rank_matrix(space))
+                assert _scan_violation(space, sub) == scan_violation_oracle(space)
                 with pytest.raises(NotUltrametricError):
                     find_center(space)
                 continue

@@ -11,7 +11,8 @@ ultrametrics drawn as ball trees for the first 4-cycle quad and the
 far-pair test, and such spaces with one pair redrawn for the first
 violating triple.  The conjecture checks, which read each quad off the
 space's rank matrix, are compared on the same ball trees with the oracle
-that builds every quad as a subspace.
+that builds every quad as a subspace, and the ball-tree census of the
+models that occur with the quartic loop over every quad.
 """
 
 import csv
@@ -32,7 +33,13 @@ from starmetric import (  # noqa: E402
     spectrum,
 )
 from starmetric.decision import _first_four_cycle, _has_far_pair  # noqa: E402
-from starmetric.lab import check_equidistant, check_k13_conjecture, check_k112_conjecture  # noqa: E402
+from starmetric.lab import (  # noqa: E402
+    _census,
+    _split_ranks,
+    check_equidistant,
+    check_k13_conjecture,
+    check_k112_conjecture,
+)
 from starmetric.fileio import parse_space_text, space_to_json_text  # noqa: E402
 from starmetric.spaces import _first_violation, require_ultrametric  # noqa: E402
 from helpers import (  # noqa: E402
@@ -42,6 +49,7 @@ from helpers import (  # noqa: E402
     find_center_oracle,
     forbidden_scan_oracle,
     four_cycle_oracle,
+    model_set_oracle,
     outcome,
     scan_violation_oracle,
 )
@@ -165,6 +173,14 @@ def test_conjecture_checks_match_the_subspace_oracle(case):
     assert check_equidistant(space) == conjecture_oracle("equidistant", space)
     assert check_k112_conjecture(space) == conjecture_oracle("k112", space)
     assert check_k13_conjecture(space) == conjecture_oracle("k13", space)
+
+
+@PROFILE
+@given(ball_trees())
+def test_census_names_the_models_of_the_quartic_loop(case):
+    space = FiniteMetricSpace(*case)
+    require_ultrametric(space)
+    assert set(_census(_split_ranks(rank_matrix(space)))) == model_set_oracle(space)
 
 
 @PROFILE
