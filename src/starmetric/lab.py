@@ -216,10 +216,11 @@ def _isometry_classes(n: int, letters: int) -> tuple[tuple[RankMatrix, int, tupl
     def place(node: tuple, rows: list[list[int]], first: int) -> int:
         # write the node's levels on leaves first, first + 1, ...; child
         # balls overwrite their own blocks, and each leaf its diagonal cell
+        # in place of a call, which keeps the exhaustive campaign's class
+        # listing within its time
         level, size, children = node
-        block = [level] * size
         for x in range(first, first + size):
-            rows[x][first : first + size] = block
+            rows[x][first : first + size] = [level] * size
         aut = 1
         for child in children:
             if child[2]:
@@ -281,14 +282,11 @@ def sample_dendrogram(spec: GeneratorSpec, index: int = 0) -> FiniteMetricSpace:
             groups = _random_partition(block, rng)
         else:
             groups = [[x] for x in block]
-        # each pair across two groups is at the split's level
-        placed: list[int] = []
-        for group in groups:
-            for x in group:
-                row = rows[x]
-                for y in placed:
-                    row[y] = rows[y][x] = lower + 1
-            placed += group
+        for gi in range(len(groups)):
+            for gj in range(gi + 1, len(groups)):
+                for x in groups[gi]:
+                    for y in groups[gj]:
+                        rows[x][y] = rows[y][x] = lower + 1
         children = []
         for group in groups:
             if len(group) >= 2:

@@ -89,7 +89,7 @@ class FiniteMetricSpace:
         """
         used = sorted(set().union(*levels))
         if used[-1] == len(used) - 1:
-            # already dense, as a generator's levels often are
+            # already dense, as most generated spaces' levels are
             ranks = tuple(map(tuple, levels))
         else:
             dense = [0] * (used[-1] + 1)
