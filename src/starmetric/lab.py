@@ -23,15 +23,14 @@ self-check (``InternalCheckError``) propagates instead.
 The checks build no subspaces and read no quad loop.  Every four-point
 ultrametric space is weakly similar to exactly one of the six models, so
 each statement turns on which models occur among a space's quads, and a
-census walks the space's ball tree once to name one quad for each model
-that occurs.  Both generators hand over the tree they built; any other
-space has its tree split from its ranks once.  Each named quad is read off
-the space's int rank matrix: the class through the four-point classifier,
-the model comparisons through the quad's densely re-ranked pattern,
-matched once per (pattern, model) and verified when first matched.  Only a
-broken K112 biconditional reads every quad, to list each one that breaks
-it.  The equidistance check's two legs keep separate algorithms, ranks and
-tree, so each still checks the other.
+census walks the space's ball tree, read off the pass that proves the space
+ultrametric, once to name one quad for each model that occurs.  Each named
+quad is read off the space's int rank matrix: the class through the
+four-point classifier, the model comparisons through the quad's densely
+re-ranked pattern, matched once per (pattern, model) and verified when first
+matched.  Only a broken K112 biconditional reads every quad, to list each
+one that breaks it.  The equidistance check's two legs keep separate
+algorithms, ranks and tree, so each still checks the other.
 
 Only a sampled campaign with ``jobs`` > 1 starts a process pool, and only
 that route imports one: ``concurrent.futures.process``, with
@@ -45,8 +44,8 @@ import os
 import random
 import time
 from fractions import Fraction
-from functools import cache, partial
-from itertools import combinations, groupby
+from functools import cache
+from itertools import combinations, groupby, islice
 from math import factorial
 from typing import Iterator, Optional
 
@@ -57,6 +56,7 @@ from .models import CONJECTURE_IDS, W4
 from .rationals import format_rational, parse_rational
 from .similarity import QuadPattern, _pattern_weakly_similar, _quad_pattern, weakly_similar
 from .spaces import FiniteMetricSpace, RankMatrix, rank_matrix, require_ultrametric
+from .spaces import _LEAF
 
 EXHAUSTIVE_MAX_POINTS = 5
 EXHAUSTIVE_MAX_ALPHABET = 4
@@ -166,15 +166,9 @@ def enumerate_ultrametrics(spec: GeneratorSpec) -> Iterator[FiniteMetricSpace]:
     yield from fill(0)
 
 
-# a ball-tree node: (level, leaves below it, children in ascending order);
-# a leaf is level 0 with no children
-_LEAF = (0, 1, ())
-
-
-def _isometry_classes(n: int, letters: int) -> tuple[tuple[RankMatrix, int, tuple], ...]:
+def _isometry_classes(n: int, letters: int) -> tuple[tuple[RankMatrix, int], ...]:
     """One level matrix per isometry class of ``n``-point ultrametric spaces
-    whose distances are among ``letters`` letters, each with its orbit size
-    and its ball tree.
+    whose distances are among ``letters`` letters, each with its orbit size.
 
     A finite ultrametric space is fixed up to isometry by its ball tree: the
     points are its leaves, every internal node has at least two children and
@@ -185,8 +179,7 @@ def _isometry_classes(n: int, letters: int) -> tuple[tuple[RankMatrix, int, tupl
     stands for the ``v``-th letter and 0 for the diagonal.  The orbit size
     is the number of labelled matrices in the class: n!/|Aut|, where |Aut|
     is the product over the nodes of the factorials of the multiplicities
-    of equal child subtrees.  The tree comes in the form :func:`_census`
-    reads, with the leaves in point order.
+    of equal child subtrees.  Its ultrametric check yields the tree again.
     """
 
     @cache
@@ -233,11 +226,10 @@ def _isometry_classes(n: int, letters: int) -> tuple[tuple[RankMatrix, int, tupl
         return aut
 
     classes = []
-    order = tuple(range(n))
     for tree in trees(n, letters):
         rows = [[0] * n for _ in range(n)]
         aut = place(tree, rows, 0)
-        classes.append((tuple(map(tuple, rows)), factorial(n) // aut, (tree, order)))
+        classes.append((tuple(map(tuple, rows)), factorial(n) // aut))
     return tuple(classes)
 
 
@@ -262,7 +254,7 @@ def sample_dendrogram(spec: GeneratorSpec, index: int = 0) -> FiniteMetricSpace:
     the pair distance is the level of the coarsest partition separating the
     pair.  When no smaller level remains the split is forced down to
     singletons.  Deterministic per (seed, index).  The splits are the
-    space's ball tree, which the space keeps.
+    space's ball tree, which its ultrametric check yields again.
     """
     n = spec.n
     labels = _point_labels(n)
@@ -273,9 +265,8 @@ def sample_dendrogram(spec: GeneratorSpec, index: int = 0) -> FiniteMetricSpace:
     rng = random.Random(f"{spec.seed}:{index}")
     # level k stands for the k-th letter (from 1); level 0 is the diagonal
     rows = [[0] * n for _ in range(n)]
-    order: list[int] = []
 
-    def split(block: list[int], top: int) -> tuple:
+    def split(block: list[int], top: int) -> None:
         # the split's level is drawn from levels 1..top, deeper ones below it
         lower = rng.randrange(top)
         if lower:
@@ -287,17 +278,12 @@ def sample_dendrogram(spec: GeneratorSpec, index: int = 0) -> FiniteMetricSpace:
                 for x in groups[gi]:
                     for y in groups[gj]:
                         rows[x][y] = rows[y][x] = lower + 1
-        children = []
         for group in groups:
             if len(group) >= 2:
-                children.append(split(group, lower))
-            else:
-                order.append(group[0])
-                children.append(_LEAF)
-        return (lower + 1, len(block), tuple(children))
+                split(group, lower)
 
-    root = split(list(range(n)), len(spec.alphabet))
-    return FiniteMetricSpace._trusted(labels, rows, (Fraction(0),) + spec.alphabet, (root, order))
+    split(list(range(n)), len(spec.alphabet))
+    return FiniteMetricSpace._trusted(labels, rows, (Fraction(0),) + spec.alphabet)
 
 
 def generate(spec: GeneratorSpec) -> Iterator[FiniteMetricSpace]:
@@ -324,45 +310,15 @@ class EquidistantCheck(_Record):
         return self.all_equal == self.all_quads_k1111
 
 
-def _split_ranks(ranks: RankMatrix) -> tuple:
-    """The ball tree of an ultrametric rank matrix on two or more points, as
-    ``(root, leaf order)``, split top down in O(n^2).
-
-    A ball's level is the largest rank from its first point, and its
-    children are taken in turn: the points still unplaced that sit below
-    that level from the first of them.  Leaves are listed depth first.
-    """
-    order: list[int] = []
-
-    def split(block: list[int]) -> tuple:
-        first = ranks[block[0]]
-        level = max(map(first.__getitem__, block))
-        size = len(block)
-        children = []
-        while block:
-            row = ranks[block[0]]
-            inside = [x for x in block if row[x] < level]
-            block = [x for x in block if row[x] == level]
-            if len(inside) > 1:
-                children.append(split(inside))
-            else:
-                order.append(inside[0])
-                children.append(_LEAF)
-        return (level, size, tuple(children))
-
-    return split(list(range(len(ranks)))), order
-
-
 def _census(tree: tuple) -> dict[str, tuple[int, int, int, int]]:
     """One quad, its points ascending, for each four-point model that some
     quad of the space is weakly similar to, read off the ball tree.
 
-    ``tree`` is ``(root, leaf order)``: a node is ``(level, leaves below it,
-    children)`` with levels in the order of the distances, a leaf is
-    ``(0, 1, ())``, and each node's leaves are a run of the leaf order.  A
-    ball's pair is two points in its first two children, at exactly its
-    level.  The models occur where the ball tree has these shapes, each
-    found in one walk:
+    ``tree`` is ``(root, leaf order)`` as ``spaces`` builds it: a node is
+    ``(level, leaves below it, children)``, a leaf is ``(0, 1, ())``, and
+    each node's leaves are a run of the leaf order.  A ball's pair is two
+    points in its first two children, at exactly its level.  The models
+    occur where the ball tree has these shapes, each found in one walk:
 
     - E4: a ball with four or more children;
     - W4: a ball with three or more children, one a ball, whose pair joins
@@ -438,13 +394,11 @@ def _census(tree: tuple) -> dict[str, tuple[int, int, int, int]]:
 def _census_quads(space: FiniteMetricSpace) -> list[tuple[tuple[int, int, int, int], QuadPattern]]:
     """The census quads of an ultrametric space, each with its rank pattern.
 
-    The ball tree is the one a generator handed over, or is split from the
-    ranks once and kept.  Each quad named for a model must be weakly similar
-    to it, through the verified pattern memo, or the census is wrong.
+    The ball tree is the one the ultrametric check kept on accepting the
+    space.  Each quad named for a model must be weakly similar to it,
+    through the verified pattern memo, or the census is wrong.
     """
     ranks = rank_matrix(space)
-    if space._ball_tree is None:
-        space._ball_tree = _split_ranks(ranks)
     quads = []
     for model, quad in _census(space._ball_tree).items():
         pattern = _quad_pattern(ranks, quad)
@@ -656,8 +610,17 @@ def evaluate_conjecture(which: str, space: FiniteMetricSpace) -> Optional[str]:
     raise ValueError(f"unknown conjecture id {which!r}; expected one of {CONJECTURE_IDS}")
 
 
-def _sample_trial(spec: GeneratorSpec, which: str, index: int) -> Optional[str]:
-    return evaluate_conjecture(which, sample_dendrogram(spec, index))
+_CHUNK = 64  # sampled indices per pool task
+_AHEAD = 4  # pool tasks queued per worker at once
+
+
+def _sample_chunk(spec: GeneratorSpec, which: str, start: int) -> Optional[tuple]:
+    """The first index of the chunk from ``start`` that breaks the conjecture, and why, or None."""
+    for index in range(start, min(start + _CHUNK, spec.count)):
+        outcome = evaluate_conjecture(which, sample_dendrogram(spec, index))
+        if outcome is not None:
+            return index, outcome
+    return None
 
 
 def _reverify_counterexample(which: str, space_dict: dict) -> Optional[str]:
@@ -677,9 +640,9 @@ def _orbit_sum_if_all_hold(spec: GeneratorSpec, which: str) -> Optional[int]:
     labels = _point_labels(spec.n)
     values = (Fraction(0),) + spec.alphabet
     total = 0
-    for rows, orbit, tree in _isometry_classes(spec.n, len(spec.alphabet)):
+    for rows, orbit in _isometry_classes(spec.n, len(spec.alphabet)):
         try:
-            outcome = evaluate_conjecture(which, FiniteMetricSpace._trusted(labels, rows, values, tree))
+            outcome = evaluate_conjecture(which, FiniteMetricSpace._trusted(labels, rows, values))
         except InternalCheckError:
             # a failed self-check is a bug to report, not a case to rescan
             raise
@@ -701,10 +664,9 @@ def run_campaign(spec: GeneratorSpec, which: str, jobs: int = 1) -> ConjectureRe
     labelled matrices, and a failed self-check from a representative is
     raised, not rescanned.  A counterexample must re-verify from its serialized
     form or the run aborts.  ``jobs`` > 1 parallelizes sampled campaigns over
-    index chunks, with at most one worker per CPU and per sample; results are
-    read in index order and the chunks not yet started when the first
-    counterexample is read are cancelled, so the report is identical to the
-    sequential one.
+    index chunks, at most one worker per CPU and per sample and a few chunks
+    per worker queued; chunks are read in index order and those not started
+    at the first counterexample are cancelled: the report is the sequential one.
     """
     if which not in CONJECTURE_IDS:
         raise ValueError(f"unknown conjecture id {which!r}; expected one of {CONJECTURE_IDS}")
@@ -726,17 +688,23 @@ def run_campaign(spec: GeneratorSpec, which: str, jobs: int = 1) -> ConjectureRe
         # imported here: it loads multiprocessing, which no other route uses
         from concurrent.futures import ProcessPoolExecutor
 
-        trial = partial(_sample_trial, spec, which)
         instances = spec.count
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, outcome in enumerate(pool.map(trial, range(spec.count), chunksize=64)):
-                if outcome is not None:
-                    # drop the chunks no worker has started yet
-                    pool.shutdown(cancel_futures=True)
-                    instances = index + 1
-                    explanation = outcome
-                    bad_space = sample_dendrogram(spec, index)
-                    break
+            chunks = (pool.submit(_sample_chunk, spec, which, i) for i in range(0, spec.count, _CHUNK))
+            pending = list(islice(chunks, _AHEAD * workers))
+            try:
+                while pending:
+                    found = pending.pop(0).result()
+                    if found is not None:
+                        index, explanation = found
+                        instances = index + 1
+                        bad_space = sample_dendrogram(spec, index)
+                        break
+                    pending += islice(chunks, 1)
+            finally:
+                # drop the chunks no worker has started yet
+                for future in pending:
+                    future.cancel()
     elif orbit_sum is not None:
         instances = orbit_sum
     else:

@@ -17,10 +17,10 @@ sum or copy whole rows of values: ``validate``'s metric flag and
 :func:`adjoin_near`; :meth:`FiniteMetricSpace.to_dict` formats each spectrum
 value once instead.  Spaces are immutable and operations return new values.
 The matrix of values, the first strong-triangle violation, each point's
-nearest-neighbour rank and the ball tree are found once per space, on first
-use; they are pure functions of the immutable ranks and spectrum, so
-concurrent use still needs no locks.  Tie-breaking is always lexicographic
-in the stored point order, making every operation deterministic.
+nearest-neighbour rank and the ball tree (read off the ultrametric check's
+own pass) are found once per space, on first use, purely from the
+immutable ranks and spectrum, so concurrent use needs no locks.  Ties break
+lexicographically in the stored point order: every operation is deterministic.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class FiniteMetricSpace:
         points: tuple[str, ...],
         levels: Sequence[Sequence[int]],
         values: Sequence[Fraction],
-        tree: Optional[tuple] = None,
     ) -> "FiniteMetricSpace":
         """A space from data whose axioms the caller has already checked.
 
@@ -84,8 +83,6 @@ class FiniteMetricSpace:
         ``values[0]`` is 0.  The levels are re-ranked densely and the used
         values become the spectrum; nothing is parsed or checked, no
         ``Fraction`` matrix is built, and the labels must be valid and unique.
-        A generator that built the space from its ball tree hands the tree
-        over as ``tree``, kept as it is in the ball-tree memo.
         """
         used = sorted(set().union(*levels))
         if used[-1] == len(used) - 1:
@@ -97,22 +94,21 @@ class FiniteMetricSpace:
                 dense[level] = rank
             ranks = tuple(tuple(map(dense.__getitem__, row)) for row in levels)
         space = cls.__new__(cls)
-        space._set(tuple(points), ranks, Spectrum(tuple(values[level] for level in used)), tree)
+        space._set(tuple(points), ranks, Spectrum(tuple(values[level] for level in used)))
         return space
 
-    def _set(self, points, ranks, spec, tree=None) -> None:
+    def _set(self, points, ranks, spec) -> None:
         self.points = points
         self._pos = {p: i for i, p in enumerate(points)}
         self._rank_matrix = ranks
         self._spectrum = spec
         # the Fraction matrix, the first strong-triangle violation, the
-        # nearest-neighbour ranks and the ball tree, built on first use unless
-        # handed over; equality and hashing read none of them
+        # nearest-neighbour ranks and the ball tree, built on first use;
+        # equality and hashing read none of them
         self._dist = None
         self._violation = False  # not yet checked, then None or a Violation
         self._nearest_ranks = None
-        # (root, leaf order) as ``lab`` builds and reads it; see there
-        self._ball_tree = tree
+        self._ball_tree = None  # set by the check that accepts the space
 
     @property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -366,31 +362,59 @@ def _mst_edges(dist: Sequence[Sequence[int]]):
                 parent[u] = v
 
 
-def _subdominant_unless_equal(dist: Sequence[Sequence[int]]) -> Optional[list[list[int]]]:
-    """None when ``dist`` equals its subdominant ultrametric, the path maximum
-    over a minimum spanning tree, which holds exactly for ultrametrics; else
-    that subdominant ultrametric.
+# a ball-tree leaf; a node is (level, leaves below it, children)
+_LEAF = (0, 1, ())
+
+
+def _ball_tree_or_subdominant(dist: Sequence[Sequence[int]]) -> tuple:
+    """``(ball tree, None)`` when ``dist`` equals its subdominant ultrametric,
+    the path maximum over a minimum spanning tree, which holds exactly for
+    ultrametrics; else ``(None, that subdominant ultrametric)``.
 
     Checked as vertices join the tree: every pair already inside holds the
     path maximum, so v joining through parent p at weight w needs
     d(v, u) == max(w, d(p, u)) for each u inside.  At the first pair that
     fails, the same tree goes on growing to fill in the rest.  O(n^2).
+
+    The ball tree is ``(root, leaf order)``, read off the join order, a
+    single-linkage order (Gower and Ross 1969): a ball is a run of it at the
+    largest join weight inside, and equal maxima make one ball.  O(n).
     """
     tree = [0]
+    weights = []
     edges = _mst_edges(dist)
     for v, p, w in edges:
         row_v, row_p = dist[v], dist[p]
         for u in tree:
             if row_v[u] != (w if w >= row_p[u] else row_p[u]):
-                return _finish_subdominant(dist, tree, chain([(v, p, w)], edges))
+                return None, _finish_subdominant(dist, tree, chain([(v, p, w)], edges))
         tree.append(v)
-    return None
+        weights.append(w)
+    top = [_INF, 0, []]  # the open balls, [level, leaves, children], on one never closed
+    stack = [top]
+    node = _LEAF
+    for w in weights:
+        while top[0] < w:
+            stack.pop()
+            top[2].append(node)
+            node = (top[0], top[1] + node[1], tuple(top[2]))
+            top = stack[-1]
+        if top[0] == w:
+            top[1] += node[1]
+            top[2].append(node)
+        else:
+            top = [w, node[1], [node]]
+            stack.append(top)
+        node = _LEAF
+    for level, size, children in reversed(stack[1:]):  # the balls the last point ends
+        node = (level, size + node[1], (*children, node))
+    return (node, tree), None
 
 
 def _finish_subdominant(dist, tree: list[int], edges) -> list[list[int]]:
     """The subdominant ultrametric of ``dist``, given that the pairs inside
     ``tree`` already hold their path maxima: each vertex still to join fills
-    its pairs by the recurrence of :func:`_subdominant_unless_equal`."""
+    its pairs by the recurrence of :func:`_ball_tree_or_subdominant`."""
     sub = [list(row) for row in dist]
     for v, p, w in edges:
         row_v, row_p = sub[v], sub[p]
@@ -402,10 +426,10 @@ def _finish_subdominant(dist, tree: list[int], edges) -> list[list[int]]:
 
 def _first_violation(space: FiniteMetricSpace) -> Optional[Violation]:
     """The first strong-triangle violation, or None, computed once per space:
-    the O(n^2) subdominant check accepts, or hands the subdominant to
-    :func:`_scan_violation`, which names the triple."""
+    the O(n^2) subdominant check accepts and keeps the ball tree, or hands
+    the subdominant to :func:`_scan_violation`, which names the triple."""
     if space._violation is False:
-        sub = _subdominant_unless_equal(space._rank_matrix)
+        space._ball_tree, sub = _ball_tree_or_subdominant(space._rank_matrix)
         space._violation = None if sub is None else _scan_violation(space, sub)
     return space._violation
 

@@ -25,6 +25,7 @@ from itertools import combinations, permutations, product
 from starmetric import (
     ForbiddenWitness,
     InvalidSpaceError,
+    LabeledTree,
     S4,
     W4,
     Z4,
@@ -218,11 +219,10 @@ def model_set_oracle(space: FiniteMetricSpace) -> set:
     }
 
 
-def tree_form(tree, rank_of=None):
+def tree_form(tree):
     """A ball tree ``(root, leaf order)`` as nested frozensets: a leaf is its
-    point, a ball is ``(level, frozenset of its children)``, with each level
-    mapped through ``rank_of`` when given.  Equal forms are equal trees,
-    whatever the order of the children and of the leaves."""
+    point, a ball is ``(level, frozenset of its children)``.  Equal forms
+    are equal trees, whatever the order of the children and of the leaves."""
     root, order = tree
     leaves = iter(order)
 
@@ -230,9 +230,51 @@ def tree_form(tree, rank_of=None):
         level, size, children = node
         if not children:
             return next(leaves)
-        return (rank_of[level] if rank_of else level, frozenset(form(child) for child in children))
+        return (level, frozenset(form(child) for child in children))
 
     return form(root)
+
+
+def closed_balls_oracle(ranks):
+    """The ball tree of an ultrametric rank matrix in the form of
+    :func:`tree_form`, from its closed balls: every set of points within
+    some rank of some point, each ball's level its largest rank and its
+    children the largest balls strictly inside it."""
+    n = len(ranks)
+    balls = {frozenset(y for y in range(n) if ranks[x][y] <= r) for x in range(n) for r in ranks[x]}
+
+    def form(ball):
+        if len(ball) == 1:
+            return next(iter(ball))
+        children = [c for c in balls if c < ball and not any(c < d < ball for d in balls)]
+        return (max(ranks[x][y] for x in ball for y in ball), frozenset(map(form, children)))
+
+    return form(frozenset(range(n)))
+
+
+def ball_tree_labeled(space: FiniteMetricSpace, tree) -> LabeledTree:
+    """The ball tree ``(root, leaf order)`` of ``space`` as a representing
+    tree: each leaf is its point, labelled 0, and each ball a vertex
+    labelled with the distance its level ranks."""
+    root, order = tree
+    leaves = iter(order)
+    values = spectrum(space).values
+    vertices, edges, labels = [], [], {}
+
+    def add(node):
+        level, size, children = node
+        if not children:
+            name = space.points[next(leaves)]
+        else:
+            name = f"ball {len(vertices)}"
+        vertices.append(name)
+        labels[name] = values[level]
+        for child in children:
+            edges.append((name, add(child)))
+        return name
+
+    add(root)
+    return LabeledTree.build(vertices, edges, labels)
 
 
 def conjecture_oracle(which: str, space: FiniteMetricSpace):

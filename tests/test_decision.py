@@ -409,13 +409,13 @@ class TestUltrametricGuard:
 
     def test_diagnose_then_star_checks_the_space_once(self, monkeypatch):
         calls = []
-        subdominant = spaces._subdominant_unless_equal
+        guard = spaces._ball_tree_or_subdominant
 
         def counted(dist):
             calls.append(len(dist))
-            return subdominant(dist)
+            return guard(dist)
 
-        monkeypatch.setattr(spaces, "_subdominant_unless_equal", counted)
+        monkeypatch.setattr(spaces, "_ball_tree_or_subdominant", counted)
         space = star_metric(random_star(random.Random(74), max_leaves=20))
         report = diagnose(space)
         assert report.verdict is Verdict.US

@@ -22,6 +22,7 @@ from starmetric import (
     check_equidistant,
     check_k112_conjecture,
     check_k13_conjecture,
+    diagnose,
     dplus_space,
     enumerate_ultrametrics,
     equidistant,
@@ -29,11 +30,19 @@ from starmetric import (
     restrict,
     run_campaign,
     sample_dendrogram,
-    spectrum,
+    star_from_center,
+    tree_metric,
     validate,
 )
-from starmetric import lab, similarity
-from helpers import brute_force_ultrametrics, conjecture_oracle, model_set_oracle, tree_form
+from starmetric import lab, similarity, spaces
+from helpers import (
+    ball_tree_labeled,
+    brute_force_ultrametrics,
+    closed_balls_oracle,
+    conjecture_oracle,
+    model_set_oracle,
+    tree_form,
+)
 
 CHECKS = {
     "equidistant": check_equidistant,
@@ -196,29 +205,14 @@ class TestCampaign:
         assert sequential == parallel
 
     def test_workers_capped_by_cpus_and_sample_count(self, monkeypatch):
-        requested = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+        pools = in_process_pools(monkeypatch)
         monkeypatch.setattr(lab.os, "cpu_count", lambda: 3)
         spec = GeneratorSpec(n=4, alphabet=("1", "2"), mode="sample", seed=1, count=5)
         sequential = run_campaign(spec, "k13", jobs=1).to_dict()
         assert run_campaign(spec, "k13", jobs=10_000).to_dict() == sequential
         small = GeneratorSpec(n=4, alphabet=("1", "2"), mode="sample", seed=1, count=2)
         run_campaign(small, "k13", jobs=10_000)
-        assert requested == [3, 2]
+        assert [pool.max_workers for pool in pools] == [3, 2]
 
     def test_jobs_below_one_rejected(self):
         spec = GeneratorSpec(n=4, alphabet=("1", "2"), mode="sample", seed=1, count=2)
@@ -309,47 +303,90 @@ class TestOracleAgreement:
         assert check_k112_conjecture(grown) == first
 
 
+class InProcessPool:
+    """A stand-in for the process pool: each submitted chunk runs in process
+    when its result is first read.  Records the start of each chunk as it
+    is submitted, read and cancelled, and the most chunks ever submitted
+    and unread when one is read."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.submitted, self.read, self.cancelled = [], [], []
+        self.most_unread = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        pool = self
+        start = args[-1]
+        pool.submitted.append(start)
+
+        class Future:
+            def result(self):
+                pool.most_unread = max(pool.most_unread, len(pool.submitted) - len(pool.read))
+                pool.read.append(start)
+                return fn(*args)
+
+            def cancel(self):
+                pool.cancelled.append(start)
+                return True
+
+        return Future()
+
+
+def in_process_pools(monkeypatch) -> list:
+    """Patch the process pool to :class:`InProcessPool`; the list gets each
+    pool a campaign makes."""
+    pools = []
+
+    def make(max_workers):
+        pools.append(InProcessPool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", make)
+    return pools
+
+
 class TestParallelEarlyStop:
-    def test_pool_stops_after_the_chunk_holding_a_counterexample(self, monkeypatch):
-        evaluated = []
-        shutdowns = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                # like a process pool, run a whole chunk before yielding from it
-                items = list(items)
-                for lo in range(0, len(items), chunksize):
-                    chunk = items[lo : lo + chunksize]
-                    evaluated.extend(chunk)
-                    yield from [fn(index) for index in chunk]
-
-            def shutdown(self, wait=True, *, cancel_futures=False):
-                shutdowns.append((len(evaluated), cancel_futures))
-
-        spec = GeneratorSpec(n=8, alphabet=("1", "2", "3", "4"), mode="sample", seed=3, count=3000)
-        k = 700
+    def flag(self, monkeypatch, spec, k):
         flagged = sample_dendrogram(spec, k)
         monkeypatch.setattr(
             lab, "evaluate_conjecture", lambda which, space: "flagged" if space == flagged else None
         )
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(lab.os, "cpu_count", lambda: 2)
+
+    def test_pool_stops_after_the_chunk_holding_a_counterexample(self, monkeypatch):
+        spec = GeneratorSpec(n=8, alphabet=("1", "2", "3", "4"), mode="sample", seed=3, count=3000)
+        k = 700
+        self.flag(monkeypatch, spec, k)
         sequential = run_campaign(spec, "k13", jobs=1).to_dict()
         assert sequential["status"] == "COUNTEREXAMPLE"
         assert sequential["instances"] == k + 1
+        pools = in_process_pools(monkeypatch)
         assert run_campaign(spec, "k13", jobs=2).to_dict() == sequential
-        assert k + 1 <= len(evaluated) < k + 1 + 64
-        assert evaluated == list(range(len(evaluated)))
-        assert shutdowns == [(len(evaluated), True)]
+        [pool] = pools
+        # chunks are read in index order up to the one holding the
+        # counterexample, and every chunk submitted after it is cancelled
+        assert pool.read == list(range(0, k + 1, 64))
+        assert pool.cancelled == pool.submitted[len(pool.read) :]
+        assert pool.submitted == list(range(0, 64 * len(pool.submitted), 64))
+
+    def test_submitted_chunks_stay_bounded_for_a_huge_count(self, monkeypatch):
+        # a budget of 10^9 samples queues a few chunks per worker, never
+        # one task per chunk of the whole budget
+        spec = GeneratorSpec(n=8, alphabet=("1", "2", "3", "4"), mode="sample", seed=3, count=10**9)
+        k = 700
+        self.flag(monkeypatch, spec, k)
+        pools = in_process_pools(monkeypatch)
+        report = run_campaign(spec, "k13", jobs=2)
+        assert (report.status, report.instances) == ("COUNTEREXAMPLE", k + 1)
+        [pool] = pools
+        assert pool.most_unread == len(pool.cancelled) + 1 == lab._AHEAD * 2
+        assert len(pool.submitted) == len(pool.read) + len(pool.cancelled)
 
 
 def canonical_form(matrix):
@@ -381,20 +418,20 @@ class TestIsometryClasses:
     def test_orbit_sizes_sum_to_the_labelled_count(self, n, k):
         spec = GeneratorSpec(n=n, alphabet=LETTERS[:k], override_caps=True)
         classes = lab._isometry_classes(n, k)
-        assert sum(orbit for _, orbit, _ in classes) == len(list(enumerate_ultrametrics(spec)))
+        assert sum(orbit for _, orbit in classes) == len(list(enumerate_ultrametrics(spec)))
 
     @pytest.mark.parametrize("k, labelled, classes", [(3, 167_894, 223), (4, 1_855_570, 1_344)])
     def test_eight_points_match_the_multichain_counts(self, k, labelled, classes):
         found = lab._isometry_classes(8, k)
         assert len(found) == classes
-        assert sum(orbit for _, orbit, _ in found) == labelled
+        assert sum(orbit for _, orbit in found) == labelled
 
     @pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 6) for k in range(1, 5)])
     def test_each_labelled_space_is_isometric_to_one_representative(self, n, k):
         # the canonical form of a level matrix is a complete isometry invariant
         spec = GeneratorSpec(n=n, alphabet=LETTERS[:k])
         orbits = Counter()
-        for rows, orbit, _ in lab._isometry_classes(n, k):
+        for rows, orbit in lab._isometry_classes(n, k):
             space = lab.FiniteMetricSpace._trusted(lab._point_labels(n), rows, (0,) + spec.alphabet)
             assert validate(space).is_ultrametric
             assert canonical_form(rows) not in orbits
@@ -427,7 +464,7 @@ class TestIsometryClasses:
     def test_a_failing_class_reports_the_first_labelled_counterexample(self, monkeypatch, which):
         spec = GeneratorSpec(n=5, alphabet=("1", "2", "3"))
         # flag every member of one class
-        rows, _, _ = lab._isometry_classes(5, 3)[-2]
+        rows, _ = lab._isometry_classes(5, 3)[-2]
         flagged = canonical_form(rows)
         level = {v: i for i, v in enumerate((0,) + spec.alphabet)}
 
@@ -549,18 +586,27 @@ def census_models(space):
     """The models the census names for an ultrametric space, each checked to
     name an ascending quad of distinct points that matches its model."""
     lab.require_ultrametric(space)
-    tree = space._ball_tree or lab._split_ranks(lab.rank_matrix(space))
-    found = lab._census(tree)
+    found = lab._census(space._ball_tree)
     for model, quad in found.items():
         assert list(quad) == sorted(set(quad)) and len(quad) == 4, (model, quad)
         assert model_match(restrict(space, [space.points[i] for i in quad])) == model, (model, quad)
     return set(found)
 
 
-def level_ranks(space, values):
-    """Each generator level's rank in the space: ``values[level]`` is its distance."""
-    used = spectrum(space).values
-    return {level: used.index(value) for level, value in enumerate(values) if value in used}
+def tree_cases():
+    """Every labelled space to six points over one to three letters, every
+    isometry class to eight points over one to four letters, and 300
+    seeded samples to sixteen points over four letters."""
+    for n in range(2, 7):
+        for k in (1, 2, 3):
+            yield from enumerate_ultrametrics(GeneratorSpec(n=n, alphabet=LETTERS[:k], override_caps=True))
+    for n in range(2, 9):
+        for k in (1, 2, 3, 4):
+            values = (Fraction(0),) + tuple(map(Fraction, LETTERS[:k]))
+            for rows, _ in lab._isometry_classes(n, k):
+                yield lab.FiniteMetricSpace._trusted(lab._point_labels(n), rows, values)
+    for index in range(300):
+        yield sample_dendrogram(GeneratorSpec(n=2 + index % 15, alphabet=LETTERS, mode="sample", seed=43), index)
 
 
 # the sha256 of the JSON of every sample in SAMPLED_CORPUS, one per line,
@@ -589,8 +635,8 @@ class TestCensus:
     def test_every_isometry_class_to_eight_points_over_three_letters(self):
         values = (0,) + LETTERS[:3]
         for n in range(4, 9):
-            for rows, _, tree in lab._isometry_classes(n, 3):
-                space = lab.FiniteMetricSpace._trusted(lab._point_labels(n), rows, values, tree)
+            for rows, _ in lab._isometry_classes(n, 3):
+                space = lab.FiniteMetricSpace._trusted(lab._point_labels(n), rows, values)
                 assert census_models(space) == model_set_oracle(space), rows
 
     def test_seeded_samples_to_sixteen_points(self):
@@ -600,39 +646,59 @@ class TestCensus:
             space = sample_dendrogram(GeneratorSpec(n=n, alphabet=alphabet, mode="sample", seed=41), index)
             assert census_models(space) == model_set_oracle(space), index
 
-    def test_a_handed_over_tree_equals_the_tree_split_from_the_ranks(self):
-        for n in range(2, 9):
-            for k in (1, 2, 3, 4):
-                values = (Fraction(0),) + tuple(map(Fraction, LETTERS[:k]))
-                for rows, _, tree in lab._isometry_classes(n, k):
-                    space = lab.FiniteMetricSpace._trusted(lab._point_labels(n), rows, values, tree)
-                    assert space._ball_tree is tree
-                    split = lab._split_ranks(lab.rank_matrix(space))
-                    assert tree_form(tree, level_ranks(space, values)) == tree_form(split), rows
-        for index in range(300):
-            spec = GeneratorSpec(n=2 + index % 15, alphabet=LETTERS, mode="sample", seed=43)
-            space = sample_dendrogram(spec, index)
-            values = (Fraction(0),) + spec.alphabet
-            split = lab._split_ranks(lab.rank_matrix(space))
-            assert tree_form(space._ball_tree, level_ranks(space, values)) == tree_form(split), index
+    def test_the_guards_tree_equals_a_slow_builder_of_closed_balls(self):
+        # the tree is also a representing tree: its path maxima, with each
+        # ball labelled by its distance and each point by 0, are the space
+        for space in tree_cases():
+            lab.require_ultrametric(space)
+            tree = space._ball_tree
+            assert tree_form(tree) == closed_balls_oracle(lab.rank_matrix(space)), space.dist
+            metric = tree_metric(ball_tree_labeled(space, tree))
+            assert restrict(metric, space.points) == space, space.dist
 
-    def test_generated_spaces_are_never_split_and_others_once(self, monkeypatch):
-        split = lab._split_ranks
-        calls = []
+    def test_each_space_grows_one_spanning_tree(self, monkeypatch):
+        # one Prim pass proves a space ultrametric and builds its ball tree,
+        # wherever the space came from and however many routes read it
+        checked = []
+        mst_edges = spaces._mst_edges
 
-        def counted(ranks):
-            calls.append(len(ranks))
-            return split(ranks)
+        def counted(dist):
+            checked.append(dist)
+            return mst_edges(dist)
 
-        monkeypatch.setattr(lab, "_split_ranks", counted)
-        for which in sorted(CHECKS):
-            run_campaign(GeneratorSpec(n=8, alphabet=LETTERS, mode="sample", seed=5, count=50), which)
-            run_campaign(GeneratorSpec(n=5, alphabet=LETTERS[:3]), which)
-        assert calls == []
+        def grown():
+            # each space's rank matrix is its own object, and kept alive here
+            assert len(set(map(id, checked))) == len(checked)
+            count = len(checked)
+            checked.clear()
+            return count
+
+        monkeypatch.setattr(spaces, "_mst_edges", counted)
+        space = dplus_space([1, 2, 3, 4, 5, 6])
+        report = diagnose(space)
+        star_from_center(space, report.center.center)
+        assert grown() == 1
         space = dplus_space([1, 2, 3, 4, 5, 6])
         for check in CHECKS.values():
             check(space)
-        assert calls == [6]
+        assert grown() == 1
+        for which in sorted(CHECKS):
+            run_campaign(GeneratorSpec(n=8, alphabet=LETTERS, mode="sample", seed=5, count=50), which)
+            assert grown() == 50
+            run_campaign(GeneratorSpec(n=5, alphabet=LETTERS[:3]), which)
+            assert grown() == len(lab._isometry_classes(5, 3))
+        # a flagged sample is reported after its reload is checked again
+        spec = GeneratorSpec(n=8, alphabet=LETTERS, mode="sample", seed=5, count=50)
+        flagged = sample_dendrogram(spec, 21)
+        evaluate = lab.evaluate_conjecture
+
+        def flag(which, space):
+            outcome = evaluate(which, space)
+            return "flagged" if space == flagged else outcome
+
+        monkeypatch.setattr(lab, "evaluate_conjecture", flag)
+        assert run_campaign(spec, "k13").status == "COUNTEREXAMPLE"
+        assert grown() == 22 + 1
 
     def test_sampled_matrices_are_unchanged(self):
         digest = hashlib.sha256()

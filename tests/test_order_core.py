@@ -24,10 +24,10 @@ from starmetric import (
     unshift,
     validate,
 )
-from starmetric import cli, lab
+from starmetric import cli, lab, spaces
 from starmetric.fileio import parse_space_file, space_to_json_text
 from starmetric.rationals import parse_rational
-from starmetric.spaces import _rank_values, _scan_violation, _subdominant_unless_equal
+from starmetric.spaces import _ball_tree_or_subdominant, _rank_values, _scan_violation
 from starmetric.stars import center_condition_violation
 from helpers import (
     center_condition_violation_oracle,
@@ -262,8 +262,8 @@ class TestKernelsOnRanks:
         seen = {"ultrametric": 0, "not ultrametric": 0, "forbidden": 0, "embeds": 0}
         for space in agreement_spaces():
             ultra = equals_subdominant_oracle(space.dist)
-            sub = _subdominant_unless_equal(rank_matrix(space))
-            assert (sub is None) == ultra
+            tree, sub = _ball_tree_or_subdominant(rank_matrix(space))
+            assert (sub is None) == ultra == (tree is not None)
             assert validate(space) == validate_oracle(space)
             for p in space.points:
                 assert center_condition_violation(space, p) == center_condition_violation_oracle(space, p)
@@ -286,6 +286,24 @@ class TestKernelsOnRanks:
             seen["forbidden"] += witness is not None
             seen["embeds"] += weights is not None
         assert min(seen.values()) >= 100, seen
+
+    def test_the_largest_join_weight_between_two_points_is_their_subdominant(self):
+        # Prim's join order is a single-linkage order for any symmetric
+        # matrix, which the ball tree is read off
+        rng = random.Random(8400)
+        for _ in range(600):
+            n = rng.randint(2, 14)
+            dist = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    dist[i][j] = dist[j][i] = rng.randint(1, rng.choice((2, 5, n * n)))
+            joins = [(0, 0), *((v, w) for v, _, w in spaces._mst_edges(dist))]
+            sub = subdominant_oracle(dist)
+            for a, (u, _) in enumerate(joins):
+                largest = 0
+                for v, w in joins[a + 1 :]:
+                    largest = max(largest, w)
+                    assert sub[u][v] == sub[v][u] == largest, (dist, u, v)
 
 
 class TestNoValueMatrix:

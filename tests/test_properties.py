@@ -35,7 +35,6 @@ from starmetric import (  # noqa: E402
 from starmetric.decision import _first_four_cycle, _has_far_pair  # noqa: E402
 from starmetric.lab import (  # noqa: E402
     _census,
-    _split_ranks,
     check_equidistant,
     check_k13_conjecture,
     check_k112_conjecture,
@@ -43,6 +42,7 @@ from starmetric.lab import (  # noqa: E402
 from starmetric.fileio import parse_space_text, space_to_json_text  # noqa: E402
 from starmetric.spaces import _first_violation, require_ultrametric  # noqa: E402
 from helpers import (  # noqa: E402
+    closed_balls_oracle,
     conjecture_oracle,
     construct_oracle,
     construct_outcome,
@@ -52,6 +52,7 @@ from helpers import (  # noqa: E402
     model_set_oracle,
     outcome,
     scan_violation_oracle,
+    tree_form,
 )
 
 VALUES = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2))
@@ -180,7 +181,15 @@ def test_conjecture_checks_match_the_subspace_oracle(case):
 def test_census_names_the_models_of_the_quartic_loop(case):
     space = FiniteMetricSpace(*case)
     require_ultrametric(space)
-    assert set(_census(_split_ranks(rank_matrix(space)))) == model_set_oracle(space)
+    assert set(_census(space._ball_tree)) == model_set_oracle(space)
+
+
+@PROFILE
+@given(ball_trees())
+def test_the_guards_tree_matches_the_closed_balls(case):
+    space = FiniteMetricSpace(*case)
+    require_ultrametric(space)
+    assert tree_form(space._ball_tree) == closed_balls_oracle(rank_matrix(space))
 
 
 @PROFILE
