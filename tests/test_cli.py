@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -359,6 +360,15 @@ class TestContract:
         assert result.stderr == (
             "error: invalid CSV at line 2: field larger than field limit (131072)\n"
         )
+
+    def test_every_golden_call_prints_its_recorded_bytes(self):
+        # tests/golden_cli.py runs each call of its corpus in process and
+        # compares the hashes of its output with tests/golden_cli.txt
+        script = Path(__file__).with_name("golden_cli.py")
+        result = subprocess.run(
+            [sys.executable, str(script), "--check"], capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
 
     def test_documented_commands_are_byte_deterministic(self, files):
         battery = [
