@@ -12,7 +12,8 @@ CSV, a header row of labels followed by the matrix::
     0,3
     3,0
 
-Files are read as UTF-8 whatever the locale.  Entries are integer strings
+Files are read as UTF-8 whatever the locale, past the byte-order mark that
+spreadsheet programs write at the start of a "CSV UTF-8" file.  Entries are integer strings
 ("3"), fraction strings ("1/2"), or exact decimal strings ("0.5").  Symmetry
 and the zero diagonal are validated on load; an asymmetric entry is reported
 with the offending label pair.
@@ -72,7 +73,7 @@ def parse_space_text(text: str, kind: str | None = None) -> FiniteMetricSpace:
 
 def _read_text(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

@@ -159,3 +159,26 @@ def test_files_are_utf8_and_other_bytes_are_a_parse_error(tmp_path, parse):
     assert (loaded.center if parse is parse_star_file else loaded.points[0]) == "é"
     with pytest.raises(ParseError, match=re.escape(f"cannot read {bad}: not UTF-8 text")):
         parse(bad)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("space.csv", "s1,s2\n0,3\n3,0\n"),
+        ("space.json", space_to_json_text(S4)),
+        ("space", space_to_json_text(S4)),
+        ("star.json", star_to_json_text(star_from_center(S4, "s1"))),
+    ],
+    ids=["csv", "json", "sniffed-json", "star"],
+)
+def test_a_byte_order_mark_is_skipped(tmp_path, name, text):
+    # spreadsheet programs start "CSV UTF-8" files with one
+    parse = parse_star_file if name.startswith("star") else parse_space_file
+    plain, marked = tmp_path / name, tmp_path / "bom" / name
+    marked.parent.mkdir()
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    expected, loaded = parse(plain), parse(marked)
+    if parse is parse_star_file:
+        expected, loaded = expected.to_dict(), loaded.to_dict()
+    assert loaded == expected
