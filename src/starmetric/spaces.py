@@ -340,60 +340,45 @@ def _raise_axiom_error(points, ranks, values, zero: int) -> NoReturn:
 def _mst_edges(dist: Sequence[Sequence[int]]):
     """Prim's minimum spanning tree of a complete distance matrix.
 
-    Yields ``(vertex, parent, weight)`` as each vertex joins the tree that
-    grows from vertex 0: the outside vertex nearest the tree, the first in
-    stored order on ties, joins through the tree vertex that first reached
-    that distance.  O(n^2) comparisons; a generator, so callers can stop at
-    the first vertex they reject.  Only the order of the entries is read, so
-    callers pass the rank matrix.
+    Yields ``(vertex, weight)`` as each vertex joins the tree that grows from
+    vertex 0: the outside vertex nearest the tree, the first in stored order
+    on ties, at its distance to the tree.  O(n^2) comparisons.  Only the
+    order of the entries is read, so callers pass the rank matrix.
     """
     n = len(dist)
     key = list(dist[0])
-    parent = [0] * n
     outside = list(range(1, n))
     while outside:
         v = min(outside, key=key.__getitem__)
         outside.remove(v)
-        yield v, parent[v], key[v]
+        yield v, key[v]
         row = dist[v]
         for u in outside:
             if row[u] < key[u]:
                 key[u] = row[u]
-                parent[u] = v
 
 
 # a ball-tree leaf; a node is (level, leaves below it, children)
 _LEAF = (0, 1, ())
 
 
-def _ball_tree_or_subdominant(dist: Sequence[Sequence[int]]) -> tuple:
-    """``(ball tree, None)`` when ``dist`` equals its subdominant ultrametric,
-    the path maximum over a minimum spanning tree, which holds exactly for
-    ultrametrics; else ``(None, that subdominant ultrametric)``.
+def _subdominant_tree(dist: Sequence[Sequence[int]]) -> tuple:
+    """The ball tree of the subdominant ultrametric u of ``dist``, the path
+    maximum over a minimum spanning tree, as ``(root, leaf order)``, and each
+    point's row sum in u.  O(n^2) for the spanning tree, then O(n).
 
-    Checked as vertices join the tree: every pair already inside holds the
-    path maximum, so v joining through parent p at weight w needs
-    d(v, u) == max(w, d(p, u)) for each u inside.  At the first pair that
-    fails, the same tree goes on growing to fill in the rest.  O(n^2).
-
-    The ball tree is ``(root, leaf order)``, read off the join order, a
-    single-linkage order (Gower and Ross 1969): a ball is a run of it at the
-    largest join weight inside, and equal maxima make one ball.  O(n).
+    The tree is read off Prim's join order, a single-linkage order (Gower
+    and Ross 1969): a ball is a run of it at the largest join weight inside,
+    and equal maxima make one ball.  A point's row sum adds, for each ball
+    above it, the ball's level once per point of the ball outside the child
+    that holds the point.
     """
-    tree = [0]
-    weights = []
-    edges = _mst_edges(dist)
-    for v, p, w in edges:
-        row_v, row_p = dist[v], dist[p]
-        for u in tree:
-            if row_v[u] != (w if w >= row_p[u] else row_p[u]):
-                return None, _finish_subdominant(dist, tree, chain([(v, p, w)], edges))
-        tree.append(v)
-        weights.append(w)
+    order = [0]
     top = [_INF, 0, []]  # the open balls, [level, leaves, children], on one never closed
     stack = [top]
     node = _LEAF
-    for w in weights:
+    for v, w in _mst_edges(dist):
+        order.append(v)
         while top[0] < w:
             stack.pop()
             top[2].append(node)
@@ -408,61 +393,68 @@ def _ball_tree_or_subdominant(dist: Sequence[Sequence[int]]) -> tuple:
         node = _LEAF
     for level, size, children in reversed(stack[1:]):  # the balls the last point ends
         node = (level, size + node[1], (*children, node))
-    return (node, tree), None
-
-
-def _finish_subdominant(dist, tree: list[int], edges) -> list[list[int]]:
-    """The subdominant ultrametric of ``dist``, given that the pairs inside
-    ``tree`` already hold their path maxima: each vertex still to join fills
-    its pairs by the recurrence of :func:`_ball_tree_or_subdominant`."""
-    sub = [list(row) for row in dist]
-    for v, p, w in edges:
-        row_v, row_p = sub[v], sub[p]
-        for u in tree:
-            row_v[u] = sub[u][v] = w if w >= row_p[u] else row_p[u]
-        tree.append(v)
-    return sub
+    sums = [0] * len(order)
+    leaves = iter(order)
+    todo = [(node, 0)]
+    while todo:
+        (level, size, children), total = todo.pop()
+        if children:
+            todo += [(child, total + level * (size - child[1])) for child in reversed(children)]
+        else:
+            sums[next(leaves)] = total
+    return (node, order), sums
 
 
 def _first_violation(space: FiniteMetricSpace) -> Optional[Violation]:
-    """The first strong-triangle violation, or None, computed once per space:
-    the O(n^2) subdominant check accepts and keeps the ball tree, or hands
-    the subdominant to :func:`_scan_violation`, which names the triple."""
+    """The first strong-triangle violation, or None, computed once per space
+    in O(n^2).
+
+    The subdominant ultrametric u is never above the distances, so a row
+    equals its row in u exactly when the two row sums are equal.  With every
+    sum equal the space is its own u, and keeps u's ball tree; else
+    :func:`_scan_violation` names the triple from the first row whose sum
+    differs.  That u <= d rests on Prim's tree being a true minimum spanning
+    tree, whose path maximum between two points is at most their distance.
+    """
     if space._violation is False:
-        space._ball_tree, sub = _ball_tree_or_subdominant(space._rank_matrix)
-        space._violation = None if sub is None else _scan_violation(space, sub)
+        ranks = space._rank_matrix
+        tree, sums = _subdominant_tree(ranks)
+        rows = list(map(sum, ranks))
+        if rows == sums:
+            space._ball_tree = tree
+            space._violation = None
+        else:
+            a = next(a for a, (row, sub) in enumerate(zip(rows, sums)) if row != sub)
+            space._violation = _scan_violation(space, a)
     return space._violation
 
 
-def _scan_violation(space: FiniteMetricSpace, sub: list[list[int]]) -> Violation:
+def _scan_violation(space: FiniteMetricSpace, a: int) -> Violation:
     """The first ordered triple (a, b, c) in point order with d(a, c) > max(d(a, b), d(b, c)),
     found on the ranks in O(n^2); its two distances are mapped back to values.
 
     Its a is the first row that differs from the subdominant ultrametric u,
-    ``sub``, so only that row's pairs (b, c) are scanned: a violating
-    (a, b, c) has u(a, c) < d(a, c), and if u(a, c) < d(a, c), the first
-    point p on a minimax path from a to c with d(a, p) > u(a, c) makes
-    (a, q, p) one, where q is the point before p."""
+    so only that row's pairs (b, c) are scanned: a violating (a, b, c) has
+    u(a, c) < d(a, c), and if u(a, c) < d(a, c), the first point p on a
+    minimax path from a to c with d(a, p) > u(a, c) makes (a, q, p) one,
+    where q is the point before p.  A row with no such pair raises
+    :class:`InternalCheckError`: u would then be above d somewhere, so
+    Prim's tree was no minimum spanning tree."""
     dist, points, values = space._rank_matrix, space.points, space._spectrum.values
-    n = len(points)
-    for a in range(n):
-        row_a = dist[a]
-        if row_a == tuple(sub[a]):
+    row_a = dist[a]
+    for b in range(len(points)):
+        if b == a:
             continue
-        for b in range(n):
-            if b == a:
+        dab = row_a[b]
+        row_b = dist[b]
+        for c in range(len(points)):
+            if c == a or c == b:
                 continue
-            dab = row_a[b]
-            row_b = dist[b]
-            for c in range(n):
-                if c == a or c == b:
-                    continue
-                bound = dab if dab >= row_b[c] else row_b[c]
-                if row_a[c] > bound:
-                    return Violation(
-                        points[a], points[b], points[c], values[row_a[c]], values[bound]
-                    )
-        break
+            bound = dab if dab >= row_b[c] else row_b[c]
+            if row_a[c] > bound:
+                return Violation(
+                    points[a], points[b], points[c], values[row_a[c]], values[bound]
+                )
     raise InternalCheckError(
         "the spanning-tree check rejected a space with no violating triple; this is a bug"
     )
@@ -481,8 +473,9 @@ def _nearest(space: FiniteMetricSpace) -> tuple[int, ...]:
 def validate(space: FiniteMetricSpace) -> UltraDiagnosis:
     """Check the strong triangle inequality over every ordered triple.
 
-    An ultrametric space is accepted in O(n^2) by comparing it with its
-    subdominant ultrametric.  Any other space is also rejected in O(n^2),
+    An ultrametric space is accepted in O(n^2) by comparing its row sums
+    with those of its subdominant ultrametric.  Any other space is also
+    rejected in O(n^2),
     with the first violating triple in lexicographic point order, but pays
     for the cubic check of the ordinary triangle inequality for
     ``is_metric``; an ultrametric space is always metric, so both flags are

@@ -409,13 +409,13 @@ class TestUltrametricGuard:
 
     def test_diagnose_then_star_checks_the_space_once(self, monkeypatch):
         calls = []
-        guard = spaces._ball_tree_or_subdominant
+        guard = spaces._subdominant_tree
 
         def counted(dist):
             calls.append(len(dist))
             return guard(dist)
 
-        monkeypatch.setattr(spaces, "_ball_tree_or_subdominant", counted)
+        monkeypatch.setattr(spaces, "_subdominant_tree", counted)
         space = star_metric(random_star(random.Random(74), max_leaves=20))
         report = diagnose(space)
         assert report.verdict is Verdict.US
@@ -451,8 +451,6 @@ class TestUltrametricGuard:
         assert len(fills) == 1 and trees == [space.n]
 
     def test_a_rejected_space_grows_one_spanning_tree(self, monkeypatch):
-        # the Prim pass that rejects the space goes on to finish its
-        # subdominant ultrametric, from which the violating triple is read
         trees = []
         mst_edges = spaces._mst_edges
 

@@ -27,7 +27,7 @@ from starmetric import (
 from starmetric import cli, lab, spaces
 from starmetric.fileio import parse_space_file, space_to_json_text
 from starmetric.rationals import parse_rational
-from starmetric.spaces import _ball_tree_or_subdominant, _rank_values, _scan_violation
+from starmetric.spaces import _first_violation, _rank_values, _scan_violation, _subdominant_tree
 from starmetric.stars import center_condition_violation
 from helpers import (
     center_condition_violation_oracle,
@@ -262,15 +262,18 @@ class TestKernelsOnRanks:
         seen = {"ultrametric": 0, "not ultrametric": 0, "forbidden": 0, "embeds": 0}
         for space in agreement_spaces():
             ultra = equals_subdominant_oracle(space.dist)
-            tree, sub = _ball_tree_or_subdominant(rank_matrix(space))
-            assert (sub is None) == ultra == (tree is not None)
+            ranks = rank_matrix(space)
+            sub = subdominant_oracle(ranks)
+            _, sums = _subdominant_tree(ranks)
+            assert sums == list(map(sum, sub))
+            assert (sums == list(map(sum, ranks))) == ultra
             assert validate(space) == validate_oracle(space)
             for p in space.points:
                 assert center_condition_violation(space, p) == center_condition_violation_oracle(space, p)
             if not ultra:
                 seen["not ultrametric"] += 1
-                assert sub == subdominant_oracle(rank_matrix(space))
-                assert _scan_violation(space, sub) == scan_violation_oracle(space)
+                a = next(a for a, row in enumerate(ranks) if list(row) != sub[a])
+                assert _scan_violation(space, a) == scan_violation_oracle(space)
                 with pytest.raises(NotUltrametricError):
                     find_center(space)
                 continue
@@ -297,13 +300,37 @@ class TestKernelsOnRanks:
             for i in range(n):
                 for j in range(i + 1, n):
                     dist[i][j] = dist[j][i] = rng.randint(1, rng.choice((2, 5, n * n)))
-            joins = [(0, 0), *((v, w) for v, _, w in spaces._mst_edges(dist))]
+            joins = [(0, 0), *spaces._mst_edges(dist)]
             sub = subdominant_oracle(dist)
             for a, (u, _) in enumerate(joins):
                 largest = 0
                 for v, w in joins[a + 1 :]:
                     largest = max(largest, w)
                     assert sub[u][v] == sub[v][u] == largest, (dist, u, v)
+
+    def test_the_trees_row_sums_name_the_first_violation(self):
+        # a space is accepted on its row sums alone, which rests on Prim's
+        # tree being a true minimum spanning tree: seeded int matrices, and
+        # every labelled space of up to six points over three letters
+        rng = random.Random(8500)
+        cases = []
+        for _ in range(600):
+            n = rng.randint(1, 14)
+            dist = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    dist[i][j] = dist[j][i] = rng.randint(1, rng.choice((2, 5, n * n)))
+            cases.append(FiniteMetricSpace([f"q{i}" for i in range(n)], dist))
+        for n in range(1, 7):
+            cases += enumerate_ultrametrics(GeneratorSpec(n=n, alphabet=("1", "2", "3"), override_caps=True))
+        rejected = 0
+        for space in cases:
+            ranks = rank_matrix(space)
+            _, sums = _subdominant_tree(ranks)
+            assert sums == list(map(sum, subdominant_oracle(ranks))), ranks
+            assert _first_violation(space) == scan_violation_oracle(space), ranks
+            rejected += space._ball_tree is None
+        assert rejected >= 400 and len(cases) - rejected >= 2000, (rejected, len(cases))
 
 
 class TestNoValueMatrix:
