@@ -13,10 +13,10 @@ CSV, a header row of labels followed by the matrix::
     3,0
 
 Files are read as UTF-8 whatever the locale, past the byte-order mark that
-spreadsheet programs write at the start of a "CSV UTF-8" file.  Entries are integer strings
-("3"), fraction strings ("1/2"), or exact decimal strings ("0.5").  Symmetry
-and the zero diagonal are validated on load; an asymmetric entry is reported
-with the offending label pair.
+spreadsheet programs write at the start of a "CSV UTF-8" file.  Entries are
+integer strings ("3"), fraction strings ("1/2"), or exact decimal strings
+("0.5").  Symmetry and the zero diagonal are validated on load; an
+asymmetric entry is reported with the offending label pair.
 """
 
 from __future__ import annotations

@@ -441,13 +441,14 @@ def _scan_violation(space: FiniteMetricSpace, a: int) -> Violation:
     :class:`InternalCheckError`: u would then be above d somewhere, so
     Prim's tree was no minimum spanning tree."""
     dist, points, values = space._rank_matrix, space.points, space._spectrum.values
+    n = len(points)
     row_a = dist[a]
-    for b in range(len(points)):
+    for b in range(n):
         if b == a:
             continue
         dab = row_a[b]
         row_b = dist[b]
-        for c in range(len(points)):
+        for c in range(n):
             if c == a or c == b:
                 continue
             bound = dab if dab >= row_b[c] else row_b[c]
@@ -475,11 +476,10 @@ def validate(space: FiniteMetricSpace) -> UltraDiagnosis:
 
     An ultrametric space is accepted in O(n^2) by comparing its row sums
     with those of its subdominant ultrametric.  Any other space is also
-    rejected in O(n^2),
-    with the first violating triple in lexicographic point order, but pays
-    for the cubic check of the ordinary triangle inequality for
-    ``is_metric``; an ultrametric space is always metric, so both flags are
-    true in that case.
+    rejected in O(n^2), with the first violating triple in lexicographic
+    point order, but pays for the cubic check of the ordinary triangle
+    inequality for ``is_metric``; an ultrametric space is always metric, so
+    both flags are true in that case.
     """
     violation = _first_violation(space)
     if violation is None:

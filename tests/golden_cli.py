@@ -52,29 +52,31 @@ def star(rng: random.Random, n: int, hub_last: bool) -> Matrix:
     return permute(rows, order + [0] if hub_last else [0] + order)
 
 
-def ball_tree(rng: random.Random, block: list[int], levels: list[Fraction], rows: Matrix, parts: int = 0) -> None:
-    """A random ultrametric on ``block``: split it into ``parts`` (else 2 to
-    4) groups at the top level, then each group below it."""
+def ball_tree(rng: random.Random, block: list[int], levels: list[Fraction], rows: Matrix, halves: bool) -> None:
+    """A random ultrametric on ``block``: split it at the top level into two
+    halves, with ``halves``, or else into 2 to 4 random groups, then each
+    group below it; a group with no level left is equidistant at half the
+    lowest one."""
     if len(block) < 2:
         return
-    level, lower = levels[-1], levels[:-1] or levels[-1:]
     rng.shuffle(block)
-    k = parts or rng.randint(2, min(4, len(block)))
-    cuts = sorted(rng.sample(range(1, len(block)), k - 1)) if not parts else [len(block) // 2]
+    if halves:
+        cuts = [len(block) // 2]
+    else:
+        cuts = sorted(rng.sample(range(1, len(block)), rng.randint(2, min(4, len(block))) - 1))
     groups = [block[a:b] for a, b in zip([0, *cuts], [*cuts, len(block)])]
     for g, group in enumerate(groups):
         for other in groups[g + 1 :]:
             for i in group:
                 for j in other:
-                    rows[i][j] = rows[j][i] = level
-    for group in groups:
-        if len(lower) < len(levels) or len(group) < 2:
-            ball_tree(rng, group, lower, rows)
+                    rows[i][j] = rows[j][i] = levels[-1]
+        if len(levels) > 1:
+            ball_tree(rng, group, levels[:-1], rows, False)
         else:
             for i in group:
                 for j in group:
                     if i != j:
-                        rows[i][j] = level / 2
+                        rows[i][j] = levels[0] / 2
 
 
 def ultrametric(rng: random.Random, n: int, forbidden: bool) -> Matrix:
@@ -82,7 +84,7 @@ def ultrametric(rng: random.Random, n: int, forbidden: bool) -> Matrix:
     children of at least two points, so it holds a 4-cycle (verdict FORBIDDEN)."""
     levels = sorted({Fraction(rng.randint(1, 40), rng.choice((1, 2, 3))) for _ in range(5)})
     rows = [[Fraction(0)] * n for _ in range(n)]
-    ball_tree(rng, list(range(n)), levels, rows, parts=2 if forbidden else 0)
+    ball_tree(rng, list(range(n)), levels, rows, forbidden)
     return rows
 
 
