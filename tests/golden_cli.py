@@ -210,13 +210,10 @@ def write_inputs(root: Path) -> tuple[dict[str, Path], dict[str, tuple[list[str]
         path = root / name
         path.write_text(body, encoding="utf-8")
         files[name] = path
-    for name in ("plain.csv", "plain.json"):
-        bom = root / f"bom_{name}"
-        bom.write_bytes(b"\xef\xbb\xbf" + files[name].read_bytes())
-        files[bom.name] = bom
-    bom = root / "bom_sniffed"
-    bom.write_bytes(b"\xef\xbb\xbf" + files["plain.json"].read_bytes())
-    files[bom.name] = bom
+    for name, plain in (("bom_plain.csv", "plain.csv"), ("bom_plain.json", "plain.json"), ("bom_sniffed", "plain.json")):
+        path = root / name
+        path.write_bytes(b"\xef\xbb\xbf" + files[plain].read_bytes())
+        files[name] = path
     for name, data in (("utf16.json", b"\xff\xfe"), ("latin1.csv", b"a,\xe9\n0,1\n1,0\n")):
         path = root / name
         path.write_bytes(data)
@@ -231,7 +228,7 @@ def calls(files: dict[str, Path], meta: dict[str, tuple[list[str], Fraction]]) -
     out = []
 
     def add(ident: str, *argv) -> None:
-        out.append((ident, [str(files.get(a, a)) if isinstance(a, str) else str(a) for a in argv]))
+        out.append((ident, [str(files.get(a, a)) for a in argv]))
 
     for name, (points, floor) in meta.items():
         add(f"validate {name}", "validate", name)
