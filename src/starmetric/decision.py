@@ -5,13 +5,13 @@ generated by a labeled star: existence of a center (a point at least as
 close to every other point as anything else is) and absence of a four-point
 subspace whose diametrical graph is a 4-cycle.  For finite spaces these are
 provably equivalent, so :func:`diagnose` runs both legs and treats any
-disagreement as a fatal internal bug rather than picking a side.  Both legs
-read each point's nearest-neighbour rank, memoised on the space: the center
-leg looks for a point at exactly that rank from every other point, and the
-far-pair leg for a pair farther apart than both its points' nearest
-neighbours, which is exactly when a 4-cycle quad exists.  Naming the
-lexicographically first such quad takes O(n^2) rank comparisons too,
-without visiting the C(n, 4) quads.
+disagreement as a fatal internal bug rather than picking a side.  The legs
+read two independent structures, both built once per space: the center leg
+each point's nearest-neighbour rank, for a point at exactly that rank from
+every other point; the 4-cycle leg the ball tree that the ultrametric check
+kept, where a 4-cycle is two points in each of two child balls of one ball.
+Both take O(n^2) at most, without visiting the C(n, 4) quads, and the
+4-cycle leg names the lexicographically first such quad.
 
 The module also hosts the shift transforms (subtracting or adding a constant
 to every positive distance, which preserves ultrametricity and every
@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import compress
-from operator import gt, le
+from operator import le
 from typing import Optional, Sequence
 
 from . import similarity
@@ -32,6 +31,7 @@ from .errors import InternalCheckError, _Record
 from .rationals import RationalLike, format_rational, parse_rational
 from .spaces import (
     FiniteMetricSpace,
+    _first_four_cycle,
     _nearest,
     min_positive_distance,
     rank_matrix,
@@ -88,69 +88,17 @@ def find_center(space: FiniteMetricSpace) -> Optional[CenterWitness]:
     return None
 
 
-def _has_far_pair(space: FiniteMetricSpace) -> bool:
-    """Whether some pair is farther apart than each point is from its nearest
-    neighbour, which in an ultrametric space holds iff a 4-cycle quad exists.
-
-    Such a pair (a, b) with nearest neighbours a' and b' is a 4-cycle
-    {a, a'} + {b, b'}; conversely each part of a 4-cycle holds a point whose
-    nearest neighbour is closer than the diameter.  One pass per row: the
-    largest d(a, b) over the b with d(a, b) > nn(b) is compared with nn(a).
-    """
-    nearest = _nearest(space)
-    return any(
-        max(compress(row, map(gt, row, nearest)), default=0) > nearest[a]
-        for a, row in enumerate(rank_matrix(space))
-    )
-
-
-def _first_four_cycle(ranks) -> Optional[tuple[int, int, int, int]]:
-    """The first quad a < b < c < d, in lexicographic order, of an ultrametric
-    rank matrix whose diametrical graph is a 4-cycle, or None.
-
-    With D = d(a, b) that holds exactly when d(a, c) > D and d(c, d) < d(a, c)
-    (parts {a,b} and {c,d}), or when one of c, d lies in the open ball B(a, D)
-    and the other in B(b, D).  Suffix minima and maxima of row a tell in O(1)
-    whether (a, b) has such a (c, d), so the first such pair costs O(n^2) and
-    its first (c, d) O(n) more.
-    """
-    n = len(ranks)
-    inf = float("inf")
-    # the smallest rank from each point to a later one
-    nearest_later = [min(row[x + 1:], default=inf) for x, row in enumerate(ranks)]
-    for a in range(n - 3):
-        row = ranks[a]
-        # over y and the points after it: low, the smallest rank from a; high,
-        # the largest rank from a to a point with a later point closer to it
-        low, high = [inf] * (n + 1), [-1] * (n + 1)
-        for y in range(n - 1, a, -1):
-            r = row[y]
-            low[y] = r if r < low[y + 1] else low[y + 1]
-            high[y] = r if r > nearest_later[y] and r > high[y + 1] else high[y + 1]
-        for b in range(a + 1, n - 2):
-            dab, later, found = row[b], range(b + 1, n), []
-            if dab < high[b + 1]:
-                c = next(c for c in later if dab < row[c] > nearest_later[c])
-                found.append((c, next(d for d in range(c + 1, n) if ranks[c][d] < row[c])))
-            if dab > low[b + 1] and dab > nearest_later[b]:
-                near_a = next(y for y in later if row[y] < dab)
-                near_b = next(y for y in later if ranks[b][y] < dab)
-                found.append((min(near_a, near_b), max(near_a, near_b)))
-            if found:
-                return (a, b) + min(found)
-    return None
-
-
 def forbidden_scan(space: FiniteMetricSpace) -> Optional[ForbiddenWitness]:
     """First four-point subset whose diametrical graph is a 4-cycle.
 
-    The first subset in lexicographic point order, found on the rank matrix
-    in O(n^2) without visiting the C(n, 4) subsets.  The witness carries the
+    The first subset in lexicographic point order, read off the space's ball
+    tree as two points in each of two child balls of one ball, in at most
+    O(n^2) without visiting the C(n, 4) subsets.  The witness carries the
     model classification of the offending quad.  Spaces with fewer than four
     points trivially pass.
     """
     require_ultrametric(space)
-    quad = _first_four_cycle(rank_matrix(space))
+    quad = _first_four_cycle(space._ball_tree)
     if quad is None:
         return None
     labels = tuple(space.points[i] for i in quad)
@@ -160,32 +108,24 @@ def forbidden_scan(space: FiniteMetricSpace) -> Optional[ForbiddenWitness]:
 def diagnose(space: FiniteMetricSpace) -> DiagnosisReport:
     """Run both membership criteria and assert they agree.
 
-    The center leg (:func:`find_center`) and the far-pair leg (a pair farther
-    apart than both points' nearest neighbours, :func:`_has_far_pair`) are
-    both O(n^2) on the nearest-neighbour ranks the space memoises.  For
-    finite ultrametric spaces a center exists iff no such pair does;
-    disagreement can only mean an implementation bug and is raised loudly
-    instead of being resolved silently.  Only a FORBIDDEN verdict runs the
-    O(n^2) :func:`forbidden_scan`, for the lexicographically first witness
-    quad, and a scan that finds none is a bug as well.
+    The center leg (:func:`find_center`, on the nearest-neighbour ranks) and
+    the 4-cycle leg (:func:`forbidden_scan`, on the ball tree) read two
+    independent structures.  For finite ultrametric spaces a center exists
+    iff no 4-cycle quad does, so exactly one leg finds its witness;
+    anything else can only mean an implementation bug and is raised loudly
+    instead of being resolved silently.
     """
     require_ultrametric(space)
     center = find_center(space)
-    forbidden = _has_far_pair(space)
-    if (center is None) != forbidden:
+    forbidden = forbidden_scan(space)
+    if (center is None) == (forbidden is None):
         raise InternalCheckError(
             "membership criteria disagree: "
-            f"center={center}, far pair={forbidden}; this is a bug"
+            f"center={center}, 4-cycle={forbidden}; this is a bug"
         )
     if center is not None:
         return DiagnosisReport(Verdict.US, center, None)
-    witness = forbidden_scan(space)
-    if witness is None:
-        raise InternalCheckError(
-            "a pair is farther apart than both points' nearest neighbours but "
-            "forbidden_scan found no 4-cycle quad; this is a bug"
-        )
-    return DiagnosisReport(Verdict.FORBIDDEN, None, witness)
+    return DiagnosisReport(Verdict.FORBIDDEN, None, forbidden)
 
 
 def shift(space: FiniteMetricSpace, delta: RationalLike) -> FiniteMetricSpace:

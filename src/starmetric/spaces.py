@@ -405,6 +405,42 @@ def _subdominant_tree(dist: Sequence[Sequence[int]]) -> tuple:
     return (node, order), sums
 
 
+def _first_four_cycle(tree: tuple) -> Optional[tuple[int, int, int, int]]:
+    """The first quad a < b < c < d, in lexicographic order, whose
+    diametrical graph is a 4-cycle, read off the ball tree ``(root, leaf
+    order)`` that the ultrametric check kept; None if there is none.
+
+    A quad is a 4-cycle iff it splits 2+2 between two child balls of its
+    least common ball: its diameter is that ball's level, reached exactly
+    between points in different children.  Lowering any point of a quad
+    lowers its sorted tuple, so each child ball offers its two smallest
+    points, and the child offering the least point is in the ball's best
+    pair of children: put in place of the child that holds another pair's
+    least point, it lowers that least point.  The walk keeps no recursion,
+    as a tree can be n - 1 balls deep; each ball with two or more child
+    balls sorts their leaves, O(n^2) in all at worst.
+    """
+    root, order = tree
+    best = None
+    stack = [(root, 0)]
+    while stack:
+        (_, _, children), at = stack.pop()
+        balls = []
+        for child in children:
+            if child[2]:
+                balls.append((child, at))
+            at += child[1]
+        stack += balls
+        if len(balls) > 1:
+            pairs = [sorted(order[at:at + child[1]])[:2] for child, at in balls]
+            least = min(pairs)
+            pairs.remove(least)
+            quad = min(tuple(sorted(least + pair)) for pair in pairs)
+            if best is None or quad < best:
+                best = quad
+    return best
+
+
 def _first_violation(space: FiniteMetricSpace) -> Optional[Violation]:
     """The first strong-triangle violation, or None, computed once per space
     in O(n^2).

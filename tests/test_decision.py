@@ -11,6 +11,7 @@ from starmetric import (
     FiniteMetricSpace,
     FourPointClass,
     GeneratorSpec,
+    InternalCheckError,
     LabeledStarGraph,
     NotUltrametricError,
     S4,
@@ -40,8 +41,8 @@ from starmetric import (
     unshift,
     validate,
 )
-from starmetric import spaces
-from starmetric.decision import _has_far_pair
+from starmetric import cli, decision, spaces
+from starmetric.fileio import space_to_json_text
 from starmetric.stars import center_condition_violation
 from helpers import embeds_oracle, random_star, sample_space
 
@@ -126,22 +127,25 @@ class TestForbiddenScan:
             assert (forbidden_scan(space) is not None) == (sizes == (2, 2))
 
 
-class TestFarPair:
-    def test_agrees_with_forbidden_scan_exhaustively_at_n5(self):
+class TestCenterAndFourCycleLegs:
+    """The center leg, on the nearest-neighbour ranks, and the 4-cycle leg,
+    on the ball tree, each find their witness exactly when the other does not."""
+
+    def test_agree_exhaustively_at_n5(self):
         spaces = exhaustive_n5()
         assert len(spaces) == 1304
         forbidden = 0
         for space in spaces:
             expected = forbidden_scan(space) is not None
-            assert _has_far_pair(space) == expected
+            assert (find_center(space) is None) == expected
             forbidden += expected
         assert 0 < forbidden < len(spaces)
 
-    def test_agrees_with_forbidden_scan_on_seeded_n9_samples(self):
+    def test_agree_on_seeded_n9_samples(self):
         forbidden = 0
         for space in seeded_n9():
             expected = forbidden_scan(space) is not None
-            assert _has_far_pair(space) == expected
+            assert (find_center(space) is None) == expected
             forbidden += expected
         assert 0 < forbidden < 300
 
@@ -164,6 +168,20 @@ class TestDiagnose:
     def test_singleton(self):
         report = diagnose(FiniteMetricSpace(("p",), [[0]]))
         assert report.verdict is Verdict.US and report.center.center == "p"
+
+    @pytest.mark.parametrize(
+        "space, leg", [(W4, "find_center"), (X4, "_first_four_cycle")], ids=["center", "four-cycle"]
+    )
+    def test_a_leg_that_misses_its_witness_is_a_bug(self, tmp_path, monkeypatch, space, leg):
+        # W4 has a center and X4 a 4-cycle quad, so one leg finding nothing
+        # leaves both legs empty-handed; the CLI must crash, not exit 2
+        monkeypatch.setattr(decision, leg, lambda arg: None)
+        with pytest.raises(InternalCheckError, match="disagree"):
+            diagnose(space)
+        path = tmp_path / "space.json"
+        path.write_text(space_to_json_text(space), encoding="utf-8")
+        with pytest.raises(InternalCheckError, match="disagree"):
+            cli.main(["diagnose", str(path)])
 
     def test_criteria_agree_on_samples(self):
         for seed in range(100):

@@ -8,7 +8,7 @@ must the first violating triple and the center of the valid ones, and each
 valid space must come back equal from its JSON and CSV text.  The O(n^2)
 searches are compared with the exhaustive scans on larger spaces:
 ultrametrics drawn as ball trees for the first 4-cycle quad and the
-far-pair test, and such spaces with one pair redrawn for the first
+center leg, and such spaces with one pair redrawn for the first
 violating triple.  The conjecture checks, which read each quad off the
 space's rank matrix, are compared on the same ball trees with the oracle
 that builds every quad as a subspace, and the ball-tree census of the
@@ -32,7 +32,6 @@ from starmetric import (  # noqa: E402
     rank_matrix,
     spectrum,
 )
-from starmetric.decision import _first_four_cycle, _has_far_pair  # noqa: E402
 from starmetric.lab import (  # noqa: E402
     _census,
     check_equidistant,
@@ -40,7 +39,11 @@ from starmetric.lab import (  # noqa: E402
     check_k112_conjecture,
 )
 from starmetric.fileio import parse_space_text, space_to_json_text  # noqa: E402
-from starmetric.spaces import _first_violation, require_ultrametric  # noqa: E402
+from starmetric.spaces import (  # noqa: E402
+    _first_four_cycle,
+    _first_violation,
+    require_ultrametric,
+)
 from helpers import (  # noqa: E402
     closed_balls_oracle,
     conjecture_oracle,
@@ -156,15 +159,16 @@ def ball_trees(draw):
 @given(ball_trees())
 def test_first_four_cycle_matches_the_quartic_scan(case):
     space = FiniteMetricSpace(*case)
-    assert _first_four_cycle(rank_matrix(space)) == four_cycle_oracle(rank_matrix(space))
+    require_ultrametric(space)
+    assert _first_four_cycle(space._ball_tree) == four_cycle_oracle(rank_matrix(space))
     assert forbidden_scan(space) == forbidden_scan_oracle(space)
 
 
 @PROFILE
 @given(ball_trees())
-def test_far_pair_matches_the_quartic_scan(case):
+def test_center_leg_matches_the_quartic_scan(case):
     space = FiniteMetricSpace(*case)
-    assert _has_far_pair(space) == (four_cycle_oracle(rank_matrix(space)) is not None)
+    assert (find_center(space) is None) == (four_cycle_oracle(rank_matrix(space)) is not None)
 
 
 @PROFILE

@@ -18,8 +18,7 @@ from starmetric import (
     rank_matrix,
     restrict,
 )
-from starmetric.decision import _first_four_cycle
-from starmetric.spaces import _first_violation
+from starmetric.spaces import _first_four_cycle, _first_violation, require_ultrametric
 from helpers import (
     forbidden_scan_oracle,
     four_cycle_oracle,
@@ -58,7 +57,8 @@ class TestFourCycleWitness:
                 # forbidden_scan adds the labels and the quad's model, which
                 # tests/test_order_core.py compares with the oracle up to n = 5
                 for version in (space, shuffled(space, rng)):
-                    quad = _first_four_cycle(rank_matrix(version))
+                    require_ultrametric(version)
+                    quad = _first_four_cycle(version._ball_tree)
                     assert quad == four_cycle_oracle(rank_matrix(version)), version.dist
                     found += quad is not None
         assert found > 20_000
