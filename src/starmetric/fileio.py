@@ -72,8 +72,9 @@ def parse_space_text(text: str, kind: str | None = None) -> FiniteMetricSpace:
 
 
 def _read_text(path: Path) -> str:
+    # the mark is dropped after decoding, so a bad byte's offset counts it
     try:
-        return path.read_text(encoding="utf-8-sig")
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

@@ -214,7 +214,8 @@ def write_inputs(root: Path) -> tuple[dict[str, Path], dict[str, tuple[list[str]
         path = root / name
         path.write_bytes(b"\xef\xbb\xbf" + files[plain].read_bytes())
         files[name] = path
-    for name, data in (("utf16.json", b"\xff\xfe"), ("latin1.csv", b"a,\xe9\n0,1\n1,0\n")):
+    for name, data in (("utf16.json", b"\xff\xfe"), ("latin1.csv", b"a,\xe9\n0,1\n1,0\n"),
+                       ("bom_latin1.csv", b"\xef\xbb\xbfa,\xe9\n0,1\n1,0\n")):
         path = root / name
         path.write_bytes(data)
         files[name] = path
@@ -250,8 +251,8 @@ def calls(files: dict[str, Path], meta: dict[str, tuple[list[str], Fraction]]) -
                  "string_points.json", "no_dist.json", "bad_json.json", "list.json", "deep.json",
                  "wide.csv", "long_numeral.csv", "zero_den.csv", "underscore.csv",
                  "arabic_digit.csv", "huge_exponent.csv", "bool_cell.json", "float_cell.json",
-                 "list_cell.json", "dict_cell.json", "utf16.json", "latin1.csv", "missing.json",
-                 "directory"):
+                 "list_cell.json", "dict_cell.json", "utf16.json", "latin1.csv", "bom_latin1.csv",
+                 "missing.json", "directory"):
         add(f"diagnose {name}", "diagnose", name)
     add("star --center unknown", "star", "us0.json", "--center", "nowhere")
     add("star --center leaf", "star", "us1.json", "--center", "s3")

@@ -159,6 +159,12 @@ def test_files_are_utf8_and_other_bytes_are_a_parse_error(tmp_path, parse):
     assert (loaded.center if parse is parse_star_file else loaded.points[0]) == "é"
     with pytest.raises(ParseError, match=re.escape(f"cannot read {bad}: not UTF-8 text")):
         parse(bad)
+    # the offset counts from the start of the file, byte-order mark included
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("latin-1"))
+    offset = 3 + text.encode("latin-1").index(b"\xe9")
+    with pytest.raises(ParseError, match=re.escape(f"not UTF-8 text (byte {offset})")):
+        parse(marked)
 
 
 @pytest.mark.parametrize(
