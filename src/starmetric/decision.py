@@ -11,7 +11,8 @@ each point's nearest-neighbour rank, for a point at exactly that rank from
 every other point; the 4-cycle leg the ball tree that the ultrametric check
 kept, where a 4-cycle is two points in each of two child balls of one ball.
 Both take O(n^2) at most, without visiting the C(n, 4) quads, and the
-4-cycle leg names the lexicographically first such quad.
+4-cycle leg names the lexicographically first such quad, and its X4 or Y4
+model from the order of the quad's six distances on the rank matrix.
 
 The module also hosts the shift transforms (subtracting or adding a constant
 to every positive distance, which preserves ultrametricity and every
@@ -36,7 +37,6 @@ from .spaces import (
     min_positive_distance,
     rank_matrix,
     require_ultrametric,
-    restrict,
     spectrum,
 )
 
@@ -94,15 +94,23 @@ def forbidden_scan(space: FiniteMetricSpace) -> Optional[ForbiddenWitness]:
     The first subset in lexicographic point order, read off the space's ball
     tree as two points in each of two child balls of one ball, in at most
     O(n^2) without visiting the C(n, 4) subsets.  The witness carries the
-    model classification of the offending quad.  Spaces with fewer than four
-    points trivially pass.
+    quad's model, Y4 (equal chords) or X4, read off the quad's rank pattern
+    by the verified per-pattern memo without building a subspace; a quad
+    matching neither is no 4-cycle.  Spaces with fewer than four points
+    trivially pass.
     """
     require_ultrametric(space)
     quad = _first_four_cycle(space._ball_tree)
     if quad is None:
         return None
     labels = tuple(space.points[i] for i in quad)
-    return ForbiddenWitness(labels, (2, 2), similarity.classify_forbidden(restrict(space, labels)).model)
+    pattern = similarity._quad_pattern(rank_matrix(space), quad)
+    for model in ("Y4", "X4"):
+        if similarity._pattern_weakly_similar(pattern, model):
+            return ForbiddenWitness(labels, (2, 2), model)
+    raise InternalCheckError(
+        f"the ball-tree walk named {labels}, which is not a 4-cycle quad; this is a bug"
+    )
 
 
 def diagnose(space: FiniteMetricSpace) -> DiagnosisReport:
@@ -184,11 +192,12 @@ def dplus_space(values: Sequence[RationalLike]) -> FiniteMetricSpace:
     parsed.sort()
     labels = [format_rational(v) for v in parsed]
     n = len(parsed)
-    rows = [
-        [Fraction(0) if i == j else max(parsed[i], parsed[j]) for j in range(n)]
-        for i in range(n)
-    ]
-    return FiniteMetricSpace(labels, rows)
+    # d(i, j) = parsed[max(i, j)], so max(i, j) is already a dense rank over
+    # the values 0, parsed[1], ..., parsed[n - 1]; rows share one int object
+    # per level, as the general constructor's rows do
+    level = tuple(range(n))
+    levels = [(i,) * i + (0,) + level[i + 1:] for i in level]
+    return FiniteMetricSpace._trusted(labels, levels, [Fraction(0), *parsed[1:]])
 
 
 def embeds_in_dplus(space: FiniteMetricSpace) -> Optional[dict[str, Fraction]]:

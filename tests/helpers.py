@@ -17,10 +17,12 @@ run here on int rank matrices.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 from starmetric import (
     ForbiddenWitness,
@@ -53,6 +55,12 @@ from starmetric.rationals import parse_rational
 from starmetric.spaces import require_ultrametric
 
 DEFAULT_ALPHABET = ("1", "2", "3", "4")
+
+# the benchmark's seeded space generators, which import nothing of the package
+_GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+_spec = importlib.util.spec_from_file_location("bench_gen", _GEN)
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
 
 
 def sample_space(n: int, seed: int, index: int = 0, alphabet=DEFAULT_ALPHABET) -> FiniteMetricSpace:

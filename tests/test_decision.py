@@ -1,5 +1,6 @@
 """Membership criteria, shift transforms, and the max-metric model."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -43,8 +44,9 @@ from starmetric import (
 )
 from starmetric import cli, decision, spaces
 from starmetric.fileio import space_to_json_text
+from starmetric.rationals import parse_rational
 from starmetric.stars import center_condition_violation
-from helpers import embeds_oracle, random_star, sample_space
+from helpers import embeds_oracle, gen, random_star, sample_space
 
 
 def exhaustive_n5():
@@ -170,17 +172,26 @@ class TestDiagnose:
         assert report.verdict is Verdict.US and report.center.center == "p"
 
     @pytest.mark.parametrize(
-        "space, leg", [(W4, "find_center"), (X4, "_first_four_cycle")], ids=["center", "four-cycle"]
+        "space, leg, found, match",
+        [
+            (W4, "find_center", None, "disagree"),
+            (X4, "_first_four_cycle", None, "disagree"),
+            (W4, "_first_four_cycle", (0, 1, 2, 3), "not a 4-cycle"),
+        ],
+        ids=["center", "four-cycle", "not-a-four-cycle"],
     )
-    def test_a_leg_that_misses_its_witness_is_a_bug(self, tmp_path, monkeypatch, space, leg):
+    def test_a_leg_that_misses_its_witness_is_a_bug(
+        self, tmp_path, monkeypatch, space, leg, found, match
+    ):
         # W4 has a center and X4 a 4-cycle quad, so one leg finding nothing
-        # leaves both legs empty-handed; the CLI must crash, not exit 2
-        monkeypatch.setattr(decision, leg, lambda arg: None)
-        with pytest.raises(InternalCheckError, match="disagree"):
+        # leaves both legs empty-handed, and W4's quad matches neither 4-cycle
+        # model; the CLI must crash, not exit 2
+        monkeypatch.setattr(decision, leg, lambda arg: found)
+        with pytest.raises(InternalCheckError, match=match):
             diagnose(space)
         path = tmp_path / "space.json"
         path.write_text(space_to_json_text(space), encoding="utf-8")
-        with pytest.raises(InternalCheckError, match="disagree"):
+        with pytest.raises(InternalCheckError, match=match):
             cli.main(["diagnose", str(path)])
 
     def test_criteria_agree_on_samples(self):
@@ -287,6 +298,24 @@ class TestDplusSpace:
         space = dplus_space(["1/3", "2", "7/2", "9", "10"])
         report = diagnose(space)
         assert report.verdict is Verdict.US and report.center.center == "1/3"
+
+    def test_equals_the_general_constructor(self):
+        # the space is built from the levels max(i, j); the definition's
+        # Fraction matrix, parsed and ranked by the checking constructor,
+        # must give the same space
+        rng = random.Random(78)
+        forms = (str, lambda v: f"{v}/7", lambda v: f"{v / 100:.2f}", lambda v: Fraction(v, 3))
+        lists = [[1], ["5/2"], [3, 1, 2], ["0.25", "1/2", "7", "1.5"], [Fraction(5, 3), 2, "0.1"]]
+        for _ in range(200):
+            form = rng.choice(forms)
+            lists.append([form(v) for v in rng.sample(range(1, 400), rng.randint(1, 12))])
+        for values in lists:
+            parsed = sorted(parse_rational(v) for v in values)
+            n = len(parsed)
+            rows = [[0 if i == j else max(parsed[i], parsed[j]) for j in range(n)] for i in range(n)]
+            expected = FiniteMetricSpace([str(v) for v in parsed], rows)
+            space = dplus_space(values)
+            assert space == expected and space.dist == expected.dist, values
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -493,4 +522,25 @@ class TestUltrametricGuard:
             rejected += 1
             with pytest.raises(NotUltrametricError):
                 diagnose(space)
+            assert trees == [space.n]
+
+    @pytest.mark.parametrize("command", ["diagnose", "scan"])
+    def test_a_forbidden_space_grows_one_spanning_tree(self, tmp_path, monkeypatch, capsys, command):
+        # the quad's model is read off the space's rank matrix, so no
+        # four-point subspace is built and checked again
+        trees = []
+        guard = spaces._subdominant_tree
+
+        def counted(dist):
+            trees.append(len(dist))
+            return guard(dist)
+
+        monkeypatch.setattr(spaces, "_subdominant_tree", counted)
+        points, rows = gen.forbidden_space(random.Random(77), 24, True)
+        for space in (X4, FiniteMetricSpace(points, rows)):
+            path = tmp_path / "space.json"
+            path.write_text(space_to_json_text(space), encoding="utf-8")
+            trees.clear()
+            assert cli.main([command, str(path)]) == 1
+            assert json.loads(capsys.readouterr().out)["model"] in ("X4", "Y4")
             assert trees == [space.n]

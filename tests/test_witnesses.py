@@ -2,11 +2,9 @@
 the first 4-cycle quad of an ultrametric space and the first violating
 triple of any other space, both in lexicographic point order."""
 
-import importlib.util
 import random
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from starmetric import (
     FiniteMetricSpace,
@@ -18,18 +16,13 @@ from starmetric import (
     rank_matrix,
     restrict,
 )
-from starmetric.spaces import _first_four_cycle, _first_violation, require_ultrametric
+from starmetric.spaces import _first_violation
 from helpers import (
     forbidden_scan_oracle,
-    four_cycle_oracle,
+    gen,
     scan_violation_oracle,
     violating_triple_oracle,
 )
-
-_GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
-_spec = importlib.util.spec_from_file_location("bench_gen", _GEN)
-gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen)
 
 
 def shuffled(space: FiniteMetricSpace, rng: random.Random) -> FiniteMetricSpace:
@@ -54,13 +47,13 @@ class TestFourCycleWitness:
         for n in range(1, 7):
             spec = GeneratorSpec(n=n, alphabet=("1", "2", "3", "4"), override_caps=True)
             for space in enumerate_ultrametrics(spec):
-                # forbidden_scan adds the labels and the quad's model, which
-                # tests/test_order_core.py compares with the oracle up to n = 5
+                # forbidden_scan's quad is the ball-tree walk's, and its
+                # model is named from the quad's rank pattern, which the
+                # oracle names from a restricted subspace's chords
                 for version in (space, shuffled(space, rng)):
-                    require_ultrametric(version)
-                    quad = _first_four_cycle(version._ball_tree)
-                    assert quad == four_cycle_oracle(rank_matrix(version)), version.dist
-                    found += quad is not None
+                    witness = forbidden_scan(version)
+                    assert witness == forbidden_scan_oracle(version), version.dist
+                    found += witness is not None
         assert found > 20_000
 
     def test_seeded_benchmark_generator_spaces(self):
