@@ -15,11 +15,12 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from .decision import diagnose, dplus_space, find_center, forbidden_scan, shift, unshift
 from .errors import CenterViolationError, InternalCheckError, StarmetricError
-from .fileio import parse_space_file, space_to_json_text, star_to_json_text
+from .fileio import _json_text, parse_space_file, space_to_json_text, star_to_json_text
 from .models import CONJECTURE_IDS
 from .similarity import weakly_similar
 from .spaces import validate
@@ -40,7 +41,7 @@ def _write(text: str) -> None:
 
 
 def _emit(data: dict) -> None:
-    print(json.dumps(data, indent=2))
+    print(_json_text(data))
 
 
 def _cmd_validate(args) -> int:
@@ -55,8 +56,8 @@ def _cmd_diagnose(args) -> int:
     report = diagnose(space)
     if report.center is not None:
         star = star_from_center(space, report.center.center)
-        text = json.dumps({"verdict": report.verdict.value, "center": report.center.center,
-                           "star": star.to_dict()}, indent=2) + "\n"
+        text = _json_text({"verdict": report.verdict.value, "center": report.center.center,
+                           "star": star.to_dict()}) + "\n"
         _write(text + star_to_dot(star) if args.dot else text)
         return 0
     payload = {"verdict": report.verdict.value}
@@ -197,6 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dplus", help="build a max-metric space from positive rationals")
     p.add_argument("values", help="comma-separated, e.g. 1/2,1,2,3")
+    # a list that starts with a negative number is the values, for their
+    # check to name, not an unknown option
+    p._negative_number_matcher = re.compile(r"^-[\d.]")
     p.set_defaults(func=_cmd_dplus)
 
     for name, help_text in (

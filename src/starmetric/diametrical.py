@@ -180,16 +180,19 @@ def _dot(
     Names and labels are written as quoted DOT strings with backslash, double
     quote and newline escaped, so any label yields valid Graphviz.
     """
+    names = {v: _dot_quote(v) for v in sorted(vertices)}
     lines = ["graph {"]
-    for v in sorted(vertices):
-        attr = f" [label={_dot_quote(labels[v])}]" if labels is not None else ""
-        lines.append(f"  {_dot_quote(v)}{attr};")
-    for u, v in sorted(tuple(sorted(e)) for e in edges):
-        lines.append(f"  {_dot_quote(u)} -- {_dot_quote(v)};")
+    if labels is None:
+        lines += [f"  {name};" for name in names.values()]
+    else:
+        lines += [f"  {name} [label={_dot_quote(labels[v])}];" for v, name in names.items()]
+    pairs = sorted((u, v) if u <= v else (v, u) for u, v in edges)
+    lines += [f"  {names[u]} -- {names[v]};" for u, v in pairs]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def _dot_quote(text: str) -> str:
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    return f'"{escaped}"'
+    if '"' in text or "\\" in text or "\n" in text:
+        text = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{text}"'

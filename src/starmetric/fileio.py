@@ -22,8 +22,11 @@ asymmetric entry is reported with the offending label pair.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .errors import StarmetricError
@@ -48,15 +51,32 @@ def space_from_json_text(text: str) -> FiniteMetricSpace:
     return FiniteMetricSpace.from_dict(_load_json(text))
 
 
+def _csv_rows(text: str) -> list:
+    """The rows of a CSV text that hold a non-blank cell, each cell stripped.
+
+    Without a double quote, carriage return or NUL (which 3.10's csv module
+    refuses), and with no line longer than the csv module's field limit,
+    ``csv.reader`` splits each line at its commas and at nothing else, so
+    ``str.split`` gives its rows; every other text takes the csv module, its
+    errors named by line.
+    """
+    lines = text.split("\n")
+    if '"' in text or "\r" in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
+        reader = csv.reader(io.StringIO(text))
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ParseError(f"invalid CSV at line {reader.line_num}: {exc}") from exc
+    else:
+        rows = [line.split(",") for line in lines]
+    return [cells for cells in (list(map(str.strip, row)) for row in rows) if any(cells)]
+
+
 def space_from_csv_text(text: str) -> FiniteMetricSpace:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    except csv.Error as exc:
-        raise ParseError(f"invalid CSV at line {reader.line_num}: {exc}") from exc
+    rows = _csv_rows(text)
     if len(rows) < 2:
         raise ParseError("CSV needs a header row of labels plus the matrix rows")
-    labels, *matrix = [list(map(str.strip, row)) for row in rows]
+    labels, *matrix = rows
     return FiniteMetricSpace(labels, matrix)
 
 
@@ -88,8 +108,48 @@ def parse_space_file(path: str | Path) -> FiniteMetricSpace:
     return parse_space_text(_read_text(path), kind)
 
 
+def _indented_json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for a value nested
+    ``len(indent) // 2`` deep.  Before 3.13 the ``json`` module writes
+    indented text with its pure-Python encoder, a few small chunks per value.
+
+    Values are dicts with str keys, lists, tuples, str, int, bool and None,
+    the types of every document the package writes.  Strings take the
+    ``json`` module's C quoter and each container's items are joined in one
+    call, so a distance row costs one comprehension.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    comma = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_quote(k)}: {_quote(v) if type(v) is str else _indented_json(v, inner)}"
+                 for k, v in value.items()]
+        return f"{{\n{inner}{comma.join(items)}\n{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_quote(v) if type(v) is str else _indented_json(v, inner) for v in value]
+        return f"[\n{inner}{comma.join(items)}\n{indent}]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# from 3.13 on the json module writes indented text in C, faster still
+_json_text = _indented_json if sys.version_info < (3, 13) else functools.partial(json.dumps, indent=2)
+
+
 def space_to_json_text(space: FiniteMetricSpace) -> str:
-    return json.dumps(space.to_dict(), indent=2) + "\n"
+    return _json_text(space.to_dict()) + "\n"
 
 
 def parse_star_file(path: str | Path) -> LabeledStarGraph:
@@ -97,4 +157,4 @@ def parse_star_file(path: str | Path) -> LabeledStarGraph:
 
 
 def star_to_json_text(star: LabeledStarGraph) -> str:
-    return json.dumps(star.to_dict(), indent=2) + "\n"
+    return _json_text(star.to_dict()) + "\n"

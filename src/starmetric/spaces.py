@@ -342,20 +342,20 @@ def _mst_edges(dist: Sequence[Sequence[int]]):
 
     Yields ``(vertex, weight)`` as each vertex joins the tree that grows from
     vertex 0: the outside vertex nearest the tree, the first in stored order
-    on ties, at its distance to the tree.  O(n^2) comparisons.  Only the
-    order of the entries is read, so callers pass the rank matrix.
+    on ties, at its distance to the tree.  O(n^2) comparisons, the argmin
+    of each step by ``min`` and ``list.index`` in C.  Only the order of the
+    entries is read, so callers pass the rank matrix.
     """
-    n = len(dist)
-    key = list(dist[0])
-    outside = list(range(1, n))
+    outside = list(range(1, len(dist)))
+    keys = list(dist[0][1:])  # aligned with outside, which stays ascending
     while outside:
-        v = min(outside, key=key.__getitem__)
-        outside.remove(v)
-        yield v, key[v]
+        i = keys.index(min(keys))
+        v = outside.pop(i)
+        yield v, keys.pop(i)
         row = dist[v]
-        for u in outside:
-            if row[u] < key[u]:
-                key[u] = row[u]
+        for j, u in enumerate(outside):
+            if row[u] < keys[j]:
+                keys[j] = row[u]
 
 
 # a ball-tree leaf; a node is (level, leaves below it, children)

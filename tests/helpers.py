@@ -378,7 +378,11 @@ def construct_outcome(points, dist):
 
 
 def mst_edges_oracle(dist):
-    """Prim's tree from vertex 0 on Fraction distances, as (vertex, parent, weight)."""
+    """Prim's tree from vertex 0 on Fraction distances, as (vertex, parent, weight).
+
+    The argmin is ``min`` with a key over the outside vertices, where
+    ``spaces._mst_edges`` takes ``list.index`` of the least key: the
+    reference for its order on ties."""
     n = len(dist)
     key = list(dist[0])
     parent = [0] * n
@@ -391,6 +395,12 @@ def mst_edges_oracle(dist):
             if dist[v][u] < key[u]:
                 key[u] = dist[v][u]
                 parent[u] = v
+
+
+def prim_reference(dist) -> list:
+    """The ``(vertex, weight)`` join order of :func:`mst_edges_oracle`, the
+    form ``spaces._mst_edges`` yields."""
+    return [(v, w) for v, _, w in mst_edges_oracle(dist)]
 
 
 def equals_subdominant_oracle(dist) -> bool:

@@ -200,6 +200,22 @@ class TestDplusAndGen:
     def test_dplus_rejects_duplicates(self):
         assert run_cli("dplus", "1,1").returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv, value",
+        [(["-1,2"], "-1"), (["--", "-1,2"], "-1"), (["-1/2,1"], "-1/2"), (["-.5,1"], "-1/2")],
+        ids=["negative-first", "after-double-dash", "negative-fraction", "negative-decimal"],
+    )
+    def test_dplus_names_a_negative_first_value(self, capsys, argv, value):
+        # a list that starts with a negative number is the values, not an option
+        assert cli.main(["dplus", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: values must be positive, got {value}\n")
+
+    def test_dplus_help_is_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["dplus", "-h"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ")
+
     def test_gen_exhaustive_streams_every_space(self):
         result = run_cli("gen", "--n", "3", "--alphabet", "1,2")
         lines = result.stdout.splitlines()

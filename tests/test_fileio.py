@@ -1,19 +1,48 @@
-"""Space and star file parsing, serialization round trips."""
+"""Space and star file parsing, serialization round trips.
 
+The property test of the JSON writer needs ``hypothesis`` (the ``test``
+extra); without it that one test is left out.
+"""
+
+import csv
+import io
+import json
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from starmetric import InvalidSpaceError, LabeledStarGraph, S4, X4, star_from_center
+from starmetric import (
+    GeneratorSpec,
+    InvalidSpaceError,
+    LabeledStarGraph,
+    S4,
+    X4,
+    diagnose,
+    lab,
+    run_campaign,
+    star_from_center,
+    validate,
+    weakly_similar,
+)
+from starmetric import fileio
 from starmetric.fileio import (
     ParseError,
+    _csv_rows,
+    _indented_json,
     parse_space_file,
     parse_space_text,
     parse_star_file,
     space_to_json_text,
     star_to_json_text,
 )
+from helpers import scale
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:
+    st = None
 
 
 class TestSpaceFiles:
@@ -188,3 +217,111 @@ def test_a_byte_order_mark_is_skipped(tmp_path, name, text):
     if parse is parse_star_file:
         expected, loaded = expected.to_dict(), loaded.to_dict()
     assert loaded == expected
+
+
+def csv_module_rows(text, reader=csv.reader):
+    """The stripped non-blank rows that ``csv.reader`` gives, or the
+    message of the ParseError that the csv route raises."""
+    rows = reader(io.StringIO(text))
+    try:
+        kept = [row for row in rows if row and any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        return f"invalid CSV at line {rows.line_num}: {exc}"
+    return [list(map(str.strip, row)) for row in kept]
+
+
+def random_csv_text(rng: random.Random) -> str:
+    # half the texts avoid the characters that send a text to the csv
+    # module, so both routes are taken often
+    alphabet = ',\t a1' if rng.random() < 0.5 else ',"\r\t a1\0'
+    lines = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.random()
+        if kind < 0.15:
+            line = ""
+        elif kind < 0.3:
+            line = "".join(rng.choice(" \t,") for _ in range(rng.randint(1, 4)))
+        else:
+            line = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
+            line += "," * (rng.random() < 0.2)
+        lines.append(line)
+    return "\n".join(lines) + "\n" * (rng.random() < 0.7)
+
+
+# blank and whitespace-only lines, trailing commas, no final newline, and
+# lines at and over the lowered field limit
+FIXED_CSV_TEXTS = ("a,b\n\n \t \n,,\n0,1,\n1,0,\n", " a , b \n0,1\n1,0", "a\n12345678\n", "a\n123456789\n")
+
+
+def test_the_split_route_reads_what_the_csv_module_reads(monkeypatch):
+    # the route is chosen from the text alone: texts with a quote, a
+    # carriage return, a NUL or an overlong line go to the csv module, whose
+    # rows, or whose error and line number, every text must match
+    reader, routed = csv.reader, []
+    monkeypatch.setattr(fileio.csv, "reader", lambda *args: routed.append(1) or reader(*args))
+    rng = random.Random(2100)
+    limit = csv.field_size_limit()
+    cases = [(text, 8) for text in FIXED_CSV_TEXTS]
+    cases += [(random_csv_text(rng), 8 if i % 4 == 0 else limit) for i in range(3000)]
+    try:
+        for text, field_limit in cases:
+            csv.field_size_limit(field_limit)
+            try:
+                got = _csv_rows(text)
+            except ParseError as exc:
+                got = str(exc)
+            assert got == csv_module_rows(text, reader), text
+    finally:
+        csv.field_size_limit(limit)
+    assert 900 < len(routed) < 2100, len(routed)
+
+
+def cli_documents(monkeypatch) -> dict:
+    """One of each document the command line writes."""
+    tri = parse_space_text("a,b,c\n0,1,2\n1,0,1\n2,1,0\n", kind="csv")
+    star = star_from_center(S4, "s1")
+    forbidden = diagnose(X4)
+    monkeypatch.setattr(lab, "evaluate_conjecture", lambda which, space: "flagged \"by\" a\ttest")
+    campaign = run_campaign(GeneratorSpec(n=4, alphabet=("1", "3/2"), mode="sample", seed=5, count=8), "k13")
+    return {
+        "us-star": {"verdict": "US", "center": "s1", "star": star.to_dict()},
+        "forbidden": {"verdict": forbidden.verdict.value, **forbidden.forbidden.to_dict()},
+        "validate": validate(tri).to_dict(),
+        "weaksim": weakly_similar(S4, scale(S4, 2)).to_dict(),
+        "campaign": campaign.to_dict(),
+        "space": S4.to_dict(),
+    }
+
+
+def test_the_writer_equals_json_dumps_on_every_cli_document(monkeypatch):
+    documents = cli_documents(monkeypatch)
+    assert documents["campaign"]["counterexample"] is not None
+    for name, document in documents.items():
+        assert _indented_json(document) == json.dumps(document, indent=2), name
+    assert star_to_json_text(star_from_center(S4, "s1")) == json.dumps(documents["us-star"]["star"], indent=2) + "\n"
+    assert space_to_json_text(S4) == json.dumps(documents["space"], indent=2) + "\n"
+
+
+def test_the_writer_refuses_types_no_document_holds():
+    for value in (1.5, {1, 2}, Fraction(1, 2), [b"x"]):
+        with pytest.raises(TypeError):
+            _indented_json(value)
+
+
+if st is not None:
+    # text with the characters JSON escapes, non-ASCII and astral ones
+    JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\r\t\b\f\0\x1f\x7fé€\ud800\U0001f600'), st.characters()))
+    JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.sampled_from((2**64, -(10**40))) | JSON_TEXT,
+        lambda children: (
+            st.lists(children, max_size=5)
+            | st.lists(children, max_size=5).map(tuple)
+            | st.dictionaries(JSON_TEXT, children, max_size=5)
+        ),
+        max_leaves=40,
+    )
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(JSON_VALUES)
+    def test_the_writer_equals_json_dumps(value):
+        assert _indented_json(value) == json.dumps(value, indent=2)

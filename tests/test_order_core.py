@@ -39,6 +39,7 @@ from helpers import (
     find_center_oracle,
     forbidden_scan_oracle,
     outcome,
+    prim_reference,
     sample_space,
     scan_violation_oracle,
     subdominant_oracle,
@@ -310,8 +311,10 @@ class TestKernelsOnRanks:
 
     def test_the_trees_row_sums_name_the_first_violation(self):
         # a space is accepted on its row sums alone, which rests on Prim's
-        # tree being a true minimum spanning tree: seeded int matrices, and
-        # every labelled space of up to six points over three letters
+        # tree being a true minimum spanning tree, joined in the reference
+        # loop's order, ties included: seeded int matrices, most over a few
+        # values, and every labelled space of up to six points over three
+        # letters
         rng = random.Random(8500)
         cases = []
         for _ in range(600):
@@ -326,6 +329,7 @@ class TestKernelsOnRanks:
         rejected = 0
         for space in cases:
             ranks = rank_matrix(space)
+            assert list(spaces._mst_edges(ranks)) == prim_reference(ranks), ranks
             _, sums = _subdominant_tree(ranks)
             assert sums == list(map(sum, subdominant_oracle(ranks))), ranks
             assert _first_violation(space) == scan_violation_oracle(space), ranks

@@ -11,8 +11,9 @@ ultrametrics drawn as ball trees for the first 4-cycle quad and the
 center leg, and such spaces with one pair redrawn for the first
 violating triple.  The conjecture checks, which read each quad off the
 space's rank matrix, are compared on the same ball trees with the oracle
-that builds every quad as a subspace, and the ball-tree census of the
-models that occur with the quartic loop over every quad.
+that builds every quad as a subspace, the ball-tree census of the models
+that occur with the quartic loop over every quad, and Prim's join order on
+their rank matrices with the reference loop.
 """
 
 import csv
@@ -41,6 +42,7 @@ from starmetric.lab import (  # noqa: E402
 from starmetric.fileio import parse_space_text, space_to_json_text  # noqa: E402
 from starmetric.spaces import (  # noqa: E402
     _first_four_cycle,
+    _mst_edges,
     _first_violation,
     require_ultrametric,
 )
@@ -54,6 +56,7 @@ from helpers import (  # noqa: E402
     four_cycle_oracle,
     model_set_oracle,
     outcome,
+    prim_reference,
     scan_violation_oracle,
     tree_form,
 )
@@ -194,6 +197,13 @@ def test_the_guards_tree_matches_the_closed_balls(case):
     space = FiniteMetricSpace(*case)
     require_ultrametric(space)
     assert tree_form(space._ball_tree) == closed_balls_oracle(rank_matrix(space))
+
+
+@PROFILE
+@given(ball_trees())
+def test_prims_join_order_matches_the_reference(case):
+    ranks = rank_matrix(FiniteMetricSpace(*case))
+    assert list(_mst_edges(ranks)) == prim_reference(ranks)
 
 
 @PROFILE
