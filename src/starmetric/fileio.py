@@ -69,6 +69,10 @@ def _csv_rows(text: str) -> list:
             raise ParseError(f"invalid CSV at line {reader.line_num}: {exc}") from exc
     else:
         rows = [line.split(",") for line in lines]
+        # str.strip removes only whitespace, and no whitespace but the space
+        # is printable: a text with neither holds no cell to strip
+        if " " not in text and text.replace("\n", "").isprintable():
+            return [cells for cells in rows if any(cells)]
     return [cells for cells in (list(map(str.strip, row)) for row in rows) if any(cells)]
 
 

@@ -3,14 +3,16 @@
 Two space sources feed the checks: exhaustive enumeration of every
 ultrametric matrix over a small distance alphabet (in lexicographic matrix
 order, duplicate-free), and seeded dendrogram sampling (random recursive
-partitions with strictly decreasing level values, which are ultrametric by
-construction and reach every space over the alphabet).  Both generators
-work on alphabet indices and hand them, with the letters, to a private
-constructor that skips parsing, the exact sort and the axiom checks; every
-check still verifies that its space is ultrametric.  Campaigns stream spaces
-through a chosen check, stop at the first counterexample or at
-budget/exhaustion, and re-verify any counterexample from its serialized form
-through an independent load path before reporting it.
+partitions with strictly decreasing levels, ultrametric by construction and
+reaching every space over the alphabet, drawn in pre-order by ``getrandbits``
+rejection: the tests pin that stream to this code, not to ``randrange``).
+Both generators work on alphabet indices and hand them, with the letters,
+to a private constructor that skips parsing, the exact sort and the axiom
+checks; every check still verifies that its space is ultrametric.
+Campaigns stream spaces through a chosen check, stop at the first
+counterexample or at budget/exhaustion, and re-verify any counterexample
+from its serialized form through an independent load path before reporting
+it.
 
 Every check is unchanged by relabelling the points, so an exhaustive
 campaign checks one representative per isometry class, built from its ball
@@ -97,6 +99,7 @@ class GeneratorSpec(_Record):
         object.__setattr__(self, "alphabet", alphabet)
 
 
+@cache
 def _point_labels(n: int) -> tuple[str, ...]:
     return tuple(f"p{i + 1}" for i in range(n))
 
@@ -233,19 +236,6 @@ def _isometry_classes(n: int, letters: int) -> tuple[tuple[RankMatrix, int], ...
     return tuple(classes)
 
 
-def _random_partition(block: list[int], rng: random.Random) -> list[list[int]]:
-    # any partition into >= 2 parts is reachable; grouping follows first
-    # appearance so the outcome is fully determined by the rng stream
-    k = rng.randint(2, len(block))
-    while True:
-        assignment = [rng.randrange(k) for _ in block]
-        groups: dict[int, list[int]] = {}
-        for x, g in zip(block, assignment):
-            groups.setdefault(g, []).append(x)
-        if len(groups) >= 2:
-            return [groups[g] for g in dict.fromkeys(assignment)]
-
-
 def sample_dendrogram(spec: GeneratorSpec, index: int = 0) -> FiniteMetricSpace:
     """One seeded random ultrametric space over the alphabet.
 
@@ -253,8 +243,12 @@ def sample_dendrogram(spec: GeneratorSpec, index: int = 0) -> FiniteMetricSpace:
     the alphabet and every deeper split must use a strictly smaller one, so
     the pair distance is the level of the coarsest partition separating the
     pair.  When no smaller level remains the split is forced down to
-    singletons.  Deterministic per (seed, index).  The splits are the
-    space's ball tree, which its ultrametric check yields again.
+    singletons.  Deterministic per (seed, index): splits run in pre-order,
+    each draw below k is k's bit length of ``getrandbits``, redrawn while not
+    below k.  ``SAMPLED_DIGEST`` and the sampler oracle in the tests pin that
+    stream to this code, not to ``randrange``'s internals (which draw alike on
+    CPython 3.10-3.13).  The splits are the space's ball tree, which its
+    ultrametric check yields again.
     """
     n = spec.n
     labels = _point_labels(n)
@@ -262,27 +256,39 @@ def sample_dendrogram(spec: GeneratorSpec, index: int = 0) -> FiniteMetricSpace:
         return FiniteMetricSpace(labels, [[0]])
     if not spec.alphabet:
         raise ValueError("alphabet too small: sampling n >= 2 needs at least one level")
-    rng = random.Random(f"{spec.seed}:{index}")
+    getrandbits = random.Random(f"{spec.seed}:{index}").getrandbits
+
+    def below(k: int) -> int:
+        bits = k.bit_length()
+        r = getrandbits(bits)
+        while r >= k:
+            r = getrandbits(bits)
+        return r
+
     # level k stands for the k-th letter (from 1); level 0 is the diagonal
     rows = [[0] * n for _ in range(n)]
-
-    def split(block: list[int], top: int) -> None:
-        # the split's level is drawn from levels 1..top, deeper ones below it
-        lower = rng.randrange(top)
+    stack = [(range(n), len(spec.alphabet))]
+    while stack:
+        # a split's level is drawn from 1..top and written over its block;
+        # the deeper splits, below it, overwrite their own blocks
+        block, top = stack.pop()
+        lower = below(top)
+        level = lower + 1
+        for x in block:
+            row = rows[x]
+            for y in block:
+                row[y] = level
+            row[x] = 0
         if lower:
-            groups = _random_partition(block, rng)
-        else:
-            groups = [[x] for x in block]
-        for gi in range(len(groups)):
-            for gj in range(gi + 1, len(groups)):
-                for x in groups[gi]:
-                    for y in groups[gj]:
-                        rows[x][y] = rows[y][x] = lower + 1
-        for group in groups:
-            if len(group) >= 2:
-                split(group, lower)
-
-    split(list(range(n)), len(spec.alphabet))
+            # any partition into >= 2 parts is reachable; groups follow
+            # first appearance
+            k = 2 + below(len(block) - 1)
+            groups: dict[int, list[int]] = {}
+            while len(groups) < 2:
+                groups = {}
+                for x in block:
+                    groups.setdefault(below(k), []).append(x)
+            stack += [(group, lower) for group in reversed(groups.values()) if len(group) >= 2]
     return FiniteMetricSpace._trusted(labels, rows, (Fraction(0),) + spec.alphabet)
 
 

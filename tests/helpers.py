@@ -12,7 +12,9 @@ spanning-tree ultrametric check, the center search, the center condition,
 the violating-triple scan, the quartic 4-cycle scan and the max-metric
 weights, all comparing the exact distances.  The full cubic triple scan and
 the quartic 4-cycle scan, which the package replaced by O(n^2) searches, also
-run here on int rank matrices.
+run here on int rank matrices.  The dendrogram sampler keeps its
+``randrange`` form here, the reference for the draws the package takes
+straight from ``getrandbits``.
 """
 
 from __future__ import annotations
@@ -503,3 +505,40 @@ def embeds_weights_oracle(space: FiniteMetricSpace):
     if any(dist[i][j] != max(weights[i], weights[j]) for i, j in combinations(range(n), 2)):
         return None
     return dict(zip(space.points, weights))
+
+
+def sample_dendrogram_oracle(spec: GeneratorSpec, index: int = 0) -> FiniteMetricSpace:
+    """The dendrogram sampler as written on ``randrange`` and ``randint``,
+    recursing into each split's parts: the draws ``sample_dendrogram`` takes
+    straight from ``getrandbits`` must give the same matrices."""
+    n = spec.n
+    labels = tuple(f"p{i + 1}" for i in range(n))
+    if n == 1:
+        return FiniteMetricSpace(labels, [[0]])
+    rng = random.Random(f"{spec.seed}:{index}")
+    rows = [[0] * n for _ in range(n)]
+
+    def partition(block):
+        k = rng.randint(2, len(block))
+        while True:
+            assignment = [rng.randrange(k) for _ in block]
+            groups = {}
+            for x, g in zip(block, assignment):
+                groups.setdefault(g, []).append(x)
+            if len(groups) >= 2:
+                return [groups[g] for g in dict.fromkeys(assignment)]
+
+    def split(block, top):
+        lower = rng.randrange(top)
+        groups = partition(block) if lower else [[x] for x in block]
+        for gi in range(len(groups)):
+            for gj in range(gi + 1, len(groups)):
+                for x in groups[gi]:
+                    for y in groups[gj]:
+                        rows[x][y] = rows[y][x] = lower + 1
+        for group in groups:
+            if len(group) >= 2:
+                split(group, lower)
+
+    split(list(range(n)), len(spec.alphabet))
+    return FiniteMetricSpace._trusted(labels, rows, (Fraction(0),) + spec.alphabet)

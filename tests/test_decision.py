@@ -35,6 +35,7 @@ from starmetric import (
     min_pair,
     min_positive_distance,
     restrict,
+    sample_dendrogram,
     shift,
     spectrum,
     star_from_center,
@@ -371,6 +372,40 @@ class TestEmbedsInDplus:
             values = sorted(rng.sample(range(1, 40), rng.randint(1, 6)))
             space = dplus_space(values)
             assert embeds_in_dplus(space) is not None
+
+    def test_planted_injective_weights_fail_the_max_equation(self):
+        # an ultrametric space whose weights are injective embeds, so only a
+        # wrong nearest memo with injective weights reaches the max equation's
+        # reject: the top two weights swapped in an embeddable space (a
+        # seeded max-metric slice, or a sample), else the ranks 1..n in a
+        # seeded order, n being above every rank of the space
+        rng = random.Random(37)
+        cases = []
+        for index in range(400):
+            n = 2 + index % 63
+            letters = tuple(map(str, range(1, 1 + (n if index % 2 else 4))))
+            spec = GeneratorSpec(n=n, alphabet=letters, mode="sample", seed=37)
+            cases.append(lambda spec=spec, index=index: sample_dendrogram(spec, index))
+            values = rng.sample(range(1, 4 * n), n)
+            cases.append(lambda values=values: dplus_space(values))
+        embeddable = 0
+        for build in cases:
+            space = build()
+            n = space.n
+            nearest = list(spaces._nearest(space))
+            if embeds_in_dplus(space) is not None and n >= 3:
+                embeddable += 1
+                top, second = sorted(range(n), key=nearest.__getitem__)[-2:]
+                nearest[top], nearest[second] = nearest[second], nearest[top]
+            else:
+                nearest = rng.sample(range(1, n + 1), n)
+            weights = nearest[:]
+            weights[weights.index(min(weights))] = 0
+            assert len(set(weights)) == n
+            planted = build()
+            planted._nearest_ranks = tuple(nearest)
+            assert embeds_in_dplus(planted) is None, space.dist
+        assert embeddable > 390, embeddable
 
 
 class TestStructuralProperties:

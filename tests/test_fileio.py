@@ -9,6 +9,7 @@ import io
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -274,6 +275,25 @@ def test_the_split_route_reads_what_the_csv_module_reads(monkeypatch):
     finally:
         csv.field_size_limit(limit)
     assert 900 < len(routed) < 2100, len(routed)
+
+
+def strip_route_rows(text: str) -> list:
+    """The split route's rows with every cell stripped."""
+    rows = (list(map(str.strip, line.split(","))) for line in text.split("\n"))
+    return [cells for cells in rows if any(cells)]
+
+
+def test_the_split_route_strips_cells_only_when_one_needs_it():
+    # every character str.strip removes but the line breaks, which send a
+    # text to the csv module or end its lines: alone in a cell, inside or
+    # around one, and as a whole row; and texts with none of them, blank
+    # rows included, which skip the strip
+    stripped = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c not in "\r\n"]
+    assert set(" \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000") <= set(stripped)
+    for c in stripped + [""]:
+        texts = (f"a,b\n0,1{c}\n{c}1,0\n", f"a,{c}b\n{c},{c}\n,,\n0,1\n1,0", f"{c}\n\na{c}b,c\n", f"{c}")
+        for text in texts:
+            assert _csv_rows(text) == strip_route_rows(text), repr(text)
 
 
 def cli_documents(monkeypatch) -> dict:

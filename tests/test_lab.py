@@ -41,6 +41,7 @@ from helpers import (
     closed_balls_oracle,
     conjecture_oracle,
     model_set_oracle,
+    sample_dendrogram_oracle,
     tree_form,
 )
 
@@ -706,3 +707,14 @@ class TestCensus:
             spec = GeneratorSpec(n=n, alphabet=alphabet, mode="sample", seed=seed)
             digest.update(json.dumps(sample_dendrogram(spec, index).to_dict()).encode() + b"\n")
         assert digest.hexdigest() == SAMPLED_DIGEST
+
+    def test_getrandbits_draws_give_the_randrange_samplers_matrices(self):
+        # one letter spends a draw on randrange(1)'s rejected bit at each split
+        letters = ("1", "2", "3", "4", "5", "6")
+        for seed in (0, 1, 7, 2**40, -3):
+            for n in (*range(1, 17), 64):
+                for k in range(1, 7):
+                    spec = GeneratorSpec(n=n, alphabet=letters[:k], mode="sample", seed=seed)
+                    for index in range(3):
+                        expected = sample_dendrogram_oracle(spec, index)
+                        assert sample_dendrogram(spec, index) == expected, (seed, n, k, index)
