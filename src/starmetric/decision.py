@@ -211,8 +211,10 @@ def embeds_in_dplus(space: FiniteMetricSpace) -> Optional[dict[str, Fraction]]:
     nearest neighbour, the pair's smaller member, is reassigned half that
     minimum, below every other weight (rank 0 stands for it).  A second
     such pair leaves two equal weights, which the injectivity check
-    rejects, and the max equation is verified before the weights are
-    mapped back to values.
+    rejects.  Injective weights leave a chain of balls, each with at most
+    one point of its own, above a two-point ball, and such a space embeds;
+    so the max equation, verified before the weights are mapped back to
+    values, fails only on a bug, and raises :class:`InternalCheckError`.
     """
     require_ultrametric(space)
     n = space.n
@@ -228,7 +230,7 @@ def embeds_in_dplus(space: FiniteMetricSpace) -> Optional[dict[str, Fraction]]:
     for i in range(n):
         for j in range(i + 1, n):
             if ranks[i][j] != max(weights[i], weights[j]):
-                return None
+                raise InternalCheckError("injective weights break the max equation; this is a bug")
     values = spectrum(space).values
     result = {p: values[w] for p, w in zip(space.points, weights)}
     result[space.points[bottom]] = values[floor] / 2

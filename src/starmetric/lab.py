@@ -58,7 +58,7 @@ from .models import CONJECTURE_IDS, W4
 from .rationals import format_rational, parse_rational
 from .similarity import QuadPattern, _pattern_weakly_similar, _quad_pattern, weakly_similar
 from .spaces import FiniteMetricSpace, RankMatrix, rank_matrix, require_ultrametric
-from .spaces import _LEAF
+from .spaces import _LEAF, _balls
 
 EXHAUSTIVE_MAX_POINTS = 5
 EXHAUSTIVE_MAX_ALPHABET = 4
@@ -209,29 +209,21 @@ def _isometry_classes(n: int, letters: int) -> tuple[tuple[RankMatrix, int], ...
             pick(0, leaves)
         return tuple(found)
 
-    def place(node: tuple, rows: list[list[int]], first: int) -> int:
-        # write the node's levels on leaves first, first + 1, ...; child
-        # balls overwrite their own blocks, and each leaf its diagonal cell
-        # in place of a call, which keeps the exhaustive campaign's class
-        # listing within its time
-        level, size, children = node
-        for x in range(first, first + size):
-            rows[x][first : first + size] = [level] * size
-        aut = 1
-        for child in children:
-            if child[2]:
-                aut *= place(child, rows, first)
-            else:
-                rows[first][first] = 0
-            first += child[1]
-        for _, equal in groupby(children):
-            aut *= factorial(len(list(equal)))
-        return aut
-
     classes = []
     for tree in trees(n, letters):
         rows = [[0] * n for _ in range(n)]
-        aut = place(tree, rows, 0)
+        aut = 1
+        for (level, size, children), starts, _ in _balls(tree):
+            # a ball writes its level over its block; its child balls, walked
+            # after it, overwrite their own blocks
+            first = starts[0]
+            block = [level] * size
+            for x in range(first, first + size):
+                rows[x][first : first + size] = block
+            for _, equal in groupby(children):
+                aut *= factorial(len(list(equal)))
+        for x in range(n):
+            rows[x][x] = 0
         classes.append((tuple(map(tuple, rows)), factorial(n) // aut))
     return tuple(classes)
 
@@ -343,20 +335,9 @@ def _census(tree: tuple) -> dict[str, tuple[int, int, int, int]]:
     n = root[1]
     e4 = w4 = z4 = s4 = x4 = y4 = None
     pair_at: dict[int, tuple[int, int]] = {}
-    stack = [(root, 0)]
-    while stack:
-        node, first = stack.pop()
-        level, size, children = node
+    for (level, size, children), starts, balls in _balls(root):
         k = len(children)
-        starts = []
-        balls = []
-        at = first
-        for child in children:
-            starts.append(at)
-            if child[2]:
-                balls.append((child, at))
-            at += child[1]
-        stack += balls
+        first = starts[0]
         pair = (order[first], order[starts[1]])
         if level not in pair_at:
             pair_at[level] = pair

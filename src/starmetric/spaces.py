@@ -362,6 +362,29 @@ def _mst_edges(dist: Sequence[Sequence[int]]):
 _LEAF = (0, 1, ())
 
 
+def _balls(root: tuple):
+    """Walk a ball tree in pre-order: yield ``(node, starts, balls)`` for
+    each ball, a node with children, whose leaves are the run of the leaf
+    order from ``starts[0]``.  ``starts`` is each child's first leaf offset,
+    and ``balls`` lists the child balls as ``(child, offset)``.
+
+    A parent comes before its child balls, which come off a stack, the last
+    first.  The walk keeps no recursion, as a tree can be n - 1 balls deep.
+    """
+    stack = [(root, 0)] if root[2] else []
+    while stack:
+        node, at = stack.pop()
+        starts = []
+        balls = []
+        for child in node[2]:
+            starts.append(at)
+            if child[2]:
+                balls.append((child, at))
+            at += child[1]
+        yield node, starts, balls
+        stack += balls
+
+
 def _subdominant_tree(dist: Sequence[Sequence[int]]) -> tuple:
     """The ball tree of the subdominant ultrametric u of ``dist``, the path
     maximum over a minimum spanning tree, as ``(root, leaf order)``, and each
@@ -393,15 +416,16 @@ def _subdominant_tree(dist: Sequence[Sequence[int]]) -> tuple:
         node = _LEAF
     for level, size, children in reversed(stack[1:]):  # the balls the last point ends
         node = (level, size + node[1], (*children, node))
+    # each child's total, at its first leaf, where a child ball reads its
+    # own when walked, before its children overwrite it
+    totals = [0] * len(order)
+    for (level, size, children), starts, _ in _balls(node):
+        total = totals[starts[0]]
+        for child, at in zip(children, starts):
+            totals[at] = total + level * (size - child[1])
     sums = [0] * len(order)
-    leaves = iter(order)
-    todo = [(node, 0)]
-    while todo:
-        (level, size, children), total = todo.pop()
-        if children:
-            todo += [(child, total + level * (size - child[1])) for child in reversed(children)]
-        else:
-            sums[next(leaves)] = total
+    for v, total in zip(order, totals):
+        sums[v] = total
     return (node, order), sums
 
 
@@ -416,21 +440,12 @@ def _first_four_cycle(tree: tuple) -> Optional[tuple[int, int, int, int]]:
     lowers its sorted tuple, so each child ball offers its two smallest
     points, and the child offering the least point is in the ball's best
     pair of children: put in place of the child that holds another pair's
-    least point, it lowers that least point.  The walk keeps no recursion,
-    as a tree can be n - 1 balls deep; each ball with two or more child
-    balls sorts their leaves, O(n^2) in all at worst.
+    least point, it lowers that least point.  Each ball with two or more
+    child balls sorts their leaves, O(n^2) in all at worst.
     """
     root, order = tree
     best = None
-    stack = [(root, 0)]
-    while stack:
-        (_, _, children), at = stack.pop()
-        balls = []
-        for child in children:
-            if child[2]:
-                balls.append((child, at))
-            at += child[1]
-        stack += balls
+    for _, _, balls in _balls(root):
         if len(balls) > 1:
             pairs = [sorted(order[at:at + child[1]])[:2] for child, at in balls]
             least = min(pairs)

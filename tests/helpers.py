@@ -14,7 +14,8 @@ weights, all comparing the exact distances.  The full cubic triple scan and
 the quartic 4-cycle scan, which the package replaced by O(n^2) searches, also
 run here on int rank matrices.  The dendrogram sampler keeps its
 ``randrange`` form here, the reference for the draws the package takes
-straight from ``getrandbits``.
+straight from ``getrandbits``, and the ball-tree walk its recursive form,
+with leaf offsets counted instead of summed from size fields.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from starmetric import (
 from starmetric.diametrical import _quad_class
 from starmetric.lab import EquidistantCheck, K112Check, K13Check
 from starmetric.rationals import parse_rational
-from starmetric.spaces import require_ultrametric
+from starmetric.spaces import _balls, require_ultrametric
 
 DEFAULT_ALPHABET = ("1", "2", "3", "4")
 
@@ -260,6 +261,53 @@ def closed_balls_oracle(ranks):
         return (max(ranks[x][y] for x in ball for y in ball), frozenset(map(form, children)))
 
     return form(frozenset(range(n)))
+
+
+def balls_oracle(root) -> list:
+    """The walk of ``spaces._balls`` by recursion: ``(node, starts, balls)``
+    for each ball of the tree, a parent before its child balls and those
+    last first.  A child's offset counts the leaves before it, never a
+    size field."""
+    found = []
+
+    def leaves(node):
+        return sum(map(leaves, node[2])) if node[2] else 1
+
+    def visit(node, first):
+        starts = [first]
+        for child in node[2][:-1]:
+            starts.append(starts[-1] + leaves(child))
+        balls = [(child, at) for child, at in zip(node[2], starts) if child[2]]
+        found.append((node, starts, balls))
+        for child, at in reversed(balls):
+            visit(child, at)
+
+    if root[2]:
+        visit(root, 0)
+    return found
+
+
+def check_ball_walk(root) -> None:
+    """Assert the contract of ``spaces._balls`` on a ball tree: every ball
+    once, the root first and a parent before its child balls; each ball's
+    child offsets start at its first leaf and step by each child's size;
+    and the walk is :func:`balls_oracle`'s."""
+    walk = list(_balls(root))
+    assert walk == balls_oracle(root)
+    if not root[2]:
+        return
+    assert walk[0][0] is root and walk[0][1][0] == 0
+    # a ball is its run of the leaf order: its first leaf and its size
+    position = {}
+    for k, ((_, size, children), starts, balls) in enumerate(walk):
+        assert (starts[0], size) not in position, (starts[0], size)
+        position[starts[0], size] = k
+        ends = starts[1:] + [starts[0] + size]
+        assert [end - at for at, end in zip(starts, ends)] == [child[1] for child in children]
+        assert balls == [(child, at) for child, at in zip(children, starts) if child[2]]
+    for k, (_, _, balls) in enumerate(walk):
+        assert all(position[at, child[1]] > k for child, at in balls)
+    assert len(walk) == 1 + sum(len(balls) for _, _, balls in walk)
 
 
 def ball_tree_labeled(space: FiniteMetricSpace, tree) -> LabeledTree:

@@ -375,8 +375,8 @@ class TestEmbedsInDplus:
 
     def test_planted_injective_weights_fail_the_max_equation(self):
         # an ultrametric space whose weights are injective embeds, so only a
-        # wrong nearest memo with injective weights reaches the max equation's
-        # reject: the top two weights swapped in an embeddable space (a
+        # wrong nearest memo with injective weights reaches the max equation,
+        # which raises: the top two weights swapped in an embeddable space (a
         # seeded max-metric slice, or a sample), else the ranks 1..n in a
         # seeded order, n being above every rank of the space
         rng = random.Random(37)
@@ -404,7 +404,8 @@ class TestEmbedsInDplus:
             assert len(set(weights)) == n
             planted = build()
             planted._nearest_ranks = tuple(nearest)
-            assert embeds_in_dplus(planted) is None, space.dist
+            with pytest.raises(InternalCheckError, match="injective weights break"):
+                embeds_in_dplus(planted)
         assert embeddable > 390, embeddable
 
 

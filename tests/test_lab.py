@@ -38,6 +38,7 @@ from starmetric import lab, similarity, spaces
 from helpers import (
     ball_tree_labeled,
     brute_force_ultrametrics,
+    check_ball_walk,
     closed_balls_oracle,
     conjecture_oracle,
     model_set_oracle,
@@ -656,6 +657,20 @@ class TestCensus:
             assert tree_form(tree) == closed_balls_oracle(lab.rank_matrix(space)), space.dist
             metric = tree_metric(ball_tree_labeled(space, tree))
             assert restrict(metric, space.points) == space, space.dist
+
+    def test_the_ball_walk_keeps_its_contract(self):
+        # every ball once, a parent first, child offsets stepping by size,
+        # and the walk of the recursive oracle
+        for space in tree_cases():
+            lab.require_ultrametric(space)
+            check_ball_walk(space._ball_tree[0])
+
+    def test_the_ball_walk_keeps_no_recursion(self):
+        # the max-metric slice on 1,200 values is a chain of 1,199 balls,
+        # deeper than the default recursion limit
+        space = dplus_space(range(1, 1201))
+        lab.require_ultrametric(space)
+        assert sum(1 for _ in spaces._balls(space._ball_tree[0])) == 1199
 
     def test_each_space_grows_one_spanning_tree(self, monkeypatch):
         # one Prim pass proves a space ultrametric and builds its ball tree,

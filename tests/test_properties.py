@@ -12,8 +12,9 @@ center leg, and such spaces with one pair redrawn for the first
 violating triple.  The conjecture checks, which read each quad off the
 space's rank matrix, are compared on the same ball trees with the oracle
 that builds every quad as a subspace, the ball-tree census of the models
-that occur with the quartic loop over every quad, and Prim's join order on
-their rank matrices with the reference loop.
+that occur with the quartic loop over every quad, Prim's join order on
+their rank matrices with the reference loop, and the walk of their ball
+trees with its recursive form.
 """
 
 import csv
@@ -47,6 +48,7 @@ from starmetric.spaces import (  # noqa: E402
     require_ultrametric,
 )
 from helpers import (  # noqa: E402
+    check_ball_walk,
     closed_balls_oracle,
     conjecture_oracle,
     construct_oracle,
@@ -197,6 +199,14 @@ def test_the_guards_tree_matches_the_closed_balls(case):
     space = FiniteMetricSpace(*case)
     require_ultrametric(space)
     assert tree_form(space._ball_tree) == closed_balls_oracle(rank_matrix(space))
+
+
+@PROFILE
+@given(ball_trees())
+def test_the_ball_walk_keeps_its_contract(case):
+    space = FiniteMetricSpace(*case)
+    require_ultrametric(space)
+    check_ball_walk(space._ball_tree[0])
 
 
 @PROFILE
