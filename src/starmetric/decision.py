@@ -27,13 +27,14 @@ from fractions import Fraction
 from operator import le
 from typing import Optional, Sequence
 
-from . import similarity
 from .errors import InternalCheckError, _Record
 from .rationals import RationalLike, format_rational, parse_rational
+from .similarity import _quad_model
 from .spaces import (
     FiniteMetricSpace,
     _first_four_cycle,
     _nearest,
+    _require_ball_tree,
     min_positive_distance,
     rank_matrix,
     require_ultrametric,
@@ -94,20 +95,17 @@ def forbidden_scan(space: FiniteMetricSpace) -> Optional[ForbiddenWitness]:
     The first subset in lexicographic point order, read off the space's ball
     tree as two points in each of two child balls of one ball, in at most
     O(n^2) without visiting the C(n, 4) subsets.  The witness carries the
-    quad's model, Y4 (equal chords) or X4, read off the quad's rank pattern
-    by the verified per-pattern memo without building a subspace; a quad
-    matching neither is no 4-cycle.  Spaces with fewer than four points
-    trivially pass.
+    quad's model, Y4 (equal chords) or X4, looked up from the quad's dense
+    rank pattern without building a subspace; a quad of any other model is
+    no 4-cycle.  Spaces with fewer than four points trivially pass.
     """
-    require_ultrametric(space)
-    quad = _first_four_cycle(space._ball_tree)
+    quad = _first_four_cycle(_require_ball_tree(space))
     if quad is None:
         return None
     labels = tuple(space.points[i] for i in quad)
-    pattern = similarity._quad_pattern(rank_matrix(space), quad)
-    for model in ("Y4", "X4"):
-        if similarity._pattern_weakly_similar(pattern, model):
-            return ForbiddenWitness(labels, (2, 2), model)
+    model = _quad_model(rank_matrix(space), quad)
+    if model in ("X4", "Y4"):
+        return ForbiddenWitness(labels, (2, 2), model)
     raise InternalCheckError(
         f"the ball-tree walk named {labels}, which is not a 4-cycle quad; this is a bug"
     )

@@ -10,8 +10,8 @@ star-generated spaces.
 
 On four points the class is read straight off the sub-diameter pairs, the
 graph's non-edges, by one private classifier that the four-point class, the
-forbidden-quad scan, the conjecture checks and the X4/Y4 model split all
-share on int ranks; no graph is built, and no ``Fraction`` is compared.
+conjecture checks and the X4/Y4 model split all share on int ranks; no graph
+is built, and no ``Fraction`` is compared.
 In a general complete multipartite graph, each vertex's part is its closed
 non-neighbourhood."""
 

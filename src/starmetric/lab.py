@@ -27,12 +27,13 @@ ultrametric space is weakly similar to exactly one of the six models, so
 each statement turns on which models occur among a space's quads, and a
 census walks the space's ball tree, read off the pass that proves the space
 ultrametric, once to name one quad for each model that occurs.  Each named
-quad is read off the space's int rank matrix: the class through the
-four-point classifier, the model comparisons through the quad's densely
-re-ranked pattern, matched once per (pattern, model) and verified when first
-matched.  Only a broken K112 biconditional reads every quad, to list each
-one that breaks it.  The equidistance check's two legs keep separate
-algorithms, ranks and tree, so each still checks the other.
+quad is read off the space's int rank matrix twice: its model is looked up
+from its densely re-ranked pattern, and must be the one it was named for,
+and its class comes from the four-point classifier.  So each statement is
+one about the census's model names and the classes of its quads.  Only a
+broken K112 biconditional reads every quad, to list each one that breaks
+it.  The equidistance check's two legs keep separate algorithms, ranks and
+tree, so each still checks the other.
 
 Only a sampled campaign with ``jobs`` > 1 starts a process pool, and only
 that route imports one: ``concurrent.futures.process``, with
@@ -56,9 +57,9 @@ from .diametrical import FourPointClass, _require_quad_class
 from .errors import InternalCheckError, SizeCapError, _Record
 from .models import CONJECTURE_IDS, W4
 from .rationals import format_rational, parse_rational
-from .similarity import QuadPattern, _pattern_weakly_similar, _quad_pattern, weakly_similar
+from .similarity import _quad_model, weakly_similar
 from .spaces import FiniteMetricSpace, RankMatrix, rank_matrix, require_ultrametric
-from .spaces import _LEAF, _balls
+from .spaces import _LEAF, _balls, _require_ball_tree
 
 EXHAUSTIVE_MAX_POINTS = 5
 EXHAUSTIVE_MAX_ALPHABET = 4
@@ -378,24 +379,20 @@ def _census(tree: tuple) -> dict[str, tuple[int, int, int, int]]:
     return {model: tuple(sorted(quad)) for model, quad in found.items() if quad is not None}
 
 
-def _census_quads(space: FiniteMetricSpace) -> list[tuple[tuple[int, int, int, int], QuadPattern]]:
-    """The census quads of an ultrametric space, each with its rank pattern.
-
-    The ball tree is the one the ultrametric check kept on accepting the
-    space.  Each quad named for a model must be weakly similar to it,
-    through the verified pattern memo, or the census is wrong.
+def _census_quads(space: FiniteMetricSpace) -> dict[str, tuple[int, int, int, int]]:
+    """The census of an ultrametric space, read off the ball tree that the
+    ultrametric check kept on accepting it.  Each quad named for a model
+    must look up as that model, or the census is wrong.
     """
     ranks = rank_matrix(space)
-    quads = []
-    for model, quad in _census(space._ball_tree).items():
-        pattern = _quad_pattern(ranks, quad)
-        if not _pattern_weakly_similar(pattern, model):
+    census = _census(_require_ball_tree(space))
+    for model, quad in census.items():
+        if _quad_model(ranks, quad) != model:
             raise InternalCheckError(
                 f"the ball-tree census named quad {quad} for model {model}, "
                 "which it is not weakly similar to"
             )
-        quads.append((quad, pattern))
-    return quads
+    return census
 
 
 def check_equidistant(space: FiniteMetricSpace) -> EquidistantCheck:
@@ -413,7 +410,7 @@ def check_equidistant(space: FiniteMetricSpace) -> EquidistantCheck:
     n = space.n
     ranks = rank_matrix(space)
     all_equal = all(ranks[i][j] == 1 for i in range(n) for j in range(i + 1, n))
-    classes = {_require_quad_class(ranks, quad) for quad, _ in _census_quads(space)}
+    classes = {_require_quad_class(ranks, quad) for quad in _census_quads(space).values()}
     return EquidistantCheck(all_equal, classes == {FourPointClass.K1111})
 
 
@@ -439,10 +436,10 @@ class K112Check(_Record):
 def check_k112_conjecture(space: FiniteMetricSpace) -> K112Check:
     """Per-quad biconditional: classifies K112 iff weakly similar to W4.
 
-    Each census quad is read from the space's rank matrix: its class through
-    the four-point classifier, its W4 similarity through its pattern.  Both
-    depend only on the quad's model, so a census quad that breaks the
-    biconditional stands for every quad of its model; only then are all
+    A quad is W4-similar iff its model is W4, and the census names one
+    quad per model that occurs, each classified on the space's rank matrix.
+    A quad's class depends only on its model, so a census quad that breaks
+    the biconditional stands for every quad of its model; only then are all
     quads read, to list each one that breaks it.
     """
     if space.n < 4:
@@ -450,25 +447,21 @@ def check_k112_conjecture(space: FiniteMetricSpace) -> K112Check:
     require_ultrametric(space)
     n = space.n
     ranks = rank_matrix(space)
-    all_k112 = True
-    all_w4 = True
-    broken = False
-    for quad, pattern in _census_quads(space):
-        is_k112 = _require_quad_class(ranks, quad) is FourPointClass.K112
-        is_w4 = _pattern_weakly_similar(pattern, "W4")
-        all_k112 = all_k112 and is_k112
-        all_w4 = all_w4 and is_w4
-        broken = broken or is_k112 != is_w4
+    census = _census_quads(space)
+    k112 = {
+        model: _require_quad_class(ranks, quad) is FourPointClass.K112
+        for model, quad in census.items()
+    }
     violations = ()
-    if broken:
+    if any(is_k112 != (model == "W4") for model, is_k112 in k112.items()):
         violations = tuple(
             tuple(space.points[i] for i in quad)
             for quad in combinations(range(n), 4)
             if (_require_quad_class(ranks, quad) is FourPointClass.K112)
-            != _pattern_weakly_similar(_quad_pattern(ranks, quad), "W4")
+            != (_quad_model(ranks, quad) == "W4")
         )
     whole = (weakly_similar(space, W4) is not None) if n == 4 else None
-    return K112Check(all_k112, all_w4, whole, violations)
+    return K112Check(all(k112.values()), set(census) <= {"W4"}, whole, violations)
 
 
 class K13Check(_Record):
@@ -490,25 +483,18 @@ class K13Check(_Record):
 def check_k13_conjecture(space: FiniteMetricSpace) -> K13Check:
     """Evaluate the three K13 statements independently and compare them.
 
-    The per-quad statements read each census quad from the space's rank
-    matrix, as :func:`check_k112_conjecture` does.
+    The per-quad statements read the census, as
+    :func:`check_k112_conjecture` does: no quad is Z4-similar iff the census
+    names no Z4 quad, and every quad is S4-similar iff it names S4 alone.
     """
     if space.n < 4:
         raise ValueError("K13 conjecture check needs at least four points")
     require_ultrametric(space)
     ranks = rank_matrix(space)
-    all_k13 = True
-    any_z4 = False
-    all_s4 = True
-    for quad, pattern in _census_quads(space):
-        if _require_quad_class(ranks, quad) is not FourPointClass.K13:
-            all_k13 = False
-        if _pattern_weakly_similar(pattern, "Z4"):
-            any_z4 = True
-        if not _pattern_weakly_similar(pattern, "S4"):
-            all_s4 = False
-    i = all_k13 and not any_z4
-    ii = all_s4
+    census = _census_quads(space)
+    classes = {_require_quad_class(ranks, quad) for quad in census.values()}
+    i = classes <= {FourPointClass.K13} and "Z4" not in census
+    ii = set(census) <= {"S4"}
     iii = embeds_in_dplus(space) is not None
     truth = {"i": i, "ii": ii, "iii": iii}
     names = ("i", "ii", "iii")

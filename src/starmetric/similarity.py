@@ -7,14 +7,16 @@ increasing bijection is unique, so the two-sided search collapses to one:
 replace every distance by its rank in the sorted spectrum and look for a
 bijection equating the rank matrices.  Isometry is the case of equal
 spectra, so one rank-matrix matcher serves both searches.  A four-point
-quad of a larger space is compared with a model through its six ranks
-alone, and that answer is kept per rank pattern.
+quad of a larger space is named by its model without a search: its six
+ranks, densely re-ranked, are looked up among the rank patterns of the six
+four-point models' relabellings.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import combinations, permutations
 from typing import Optional
 
 from .diametrical import FourPointClass, _quad_class
@@ -56,48 +58,39 @@ def _match_ranks(ra: RankMatrix, rb: RankMatrix) -> Optional[list[int]]:
     return assign if extend(0) else None
 
 
-QuadPattern = tuple[int, int, int, int, int, int]
+@cache
+def _model_table() -> dict[tuple[int, ...], str]:
+    """The dense rank pattern of every relabelling of every four-point model,
+    mapped to the model's name.
+
+    A four-point space with dense ranks 1..k is weakly similar to a model
+    iff some relabelling of the model has exactly its six ranks in pair
+    order (12, 13, 14, 23, 24, 34), since the increasing map between two
+    spectra of equal size is unique.  So the 32 patterns of the six models'
+    24 relabellings are every four-point ultrametric pattern, and two models
+    sharing one would make the name ambiguous.
+    """
+    table: dict[tuple[int, ...], str] = {}
+    for name, model in MODELS.items():
+        ranks = rank_matrix(model)
+        for perm in permutations(range(4)):
+            pattern = tuple([ranks[perm[i]][perm[j]] for i, j in combinations(range(4), 2)])
+            if table.setdefault(pattern, name) != name:
+                raise InternalCheckError(
+                    f"models {table[pattern]} and {name} share a rank pattern; this is a bug"
+                )
+    return table
 
 
-def _quad_pattern(ranks: RankMatrix, quad: tuple[int, int, int, int]) -> QuadPattern:
-    """The quad's six pair ranks in pair order, densely re-ranked from 1:
-    the rank matrix its induced subspace would have, without building it."""
+def _quad_model(ranks: RankMatrix, quad: tuple[int, int, int, int]) -> Optional[str]:
+    """Name of the four-point model the quad's induced subspace is weakly
+    similar to, or None if it is not ultrametric, read off its six pair
+    ranks, densely re-ranked from 1, without building the subspace."""
     a, b, c, e = quad
     ra, rb = ranks[a], ranks[b]
     six = (ra[b], ra[c], ra[e], rb[c], rb[e], ranks[c][e])
     dense = {r: k for k, r in enumerate(sorted(set(six)), 1)}
-    return tuple([dense[r] for r in six])
-
-
-# one cache entry per (four-point ultrametric rank pattern, model): about a hundred
-@cache
-def _pattern_weakly_similar(pattern: QuadPattern, model: str) -> bool:
-    """Whether a four-point space with dense rank ``pattern`` is weakly
-    similar to the four-point model named ``model``.
-
-    ``pattern`` lists the six pair ranks in pair order (12, 13, 14, 23, 24,
-    34), densely ranked from 1, so it is the rank matrix of the four-point
-    space and ``max(pattern) + 1`` its spectrum size.  The answer is the one
-    :func:`weakly_similar` gives and depends on nothing else, so it is
-    matched once per (pattern, model) and kept.  A newly stored match is
-    verified first: with spectra of equal size, the witness check reduces
-    to the bijection carrying the pattern's ranks onto the model's.
-    """
-    ab, ac, ae, bc, be, ce = pattern
-    ra = ((0, ab, ac, ae), (ab, 0, bc, be), (ac, bc, 0, ce), (ae, be, ce, 0))
-    target = MODELS[model]
-    rb = rank_matrix(target)
-    if max(pattern) + 1 != len(spectrum(target).values):
-        return False
-    assign = _match_ranks(ra, rb)
-    if assign is not None and (
-        sorted(assign) != [0, 1, 2, 3]
-        or any(ra[i][k] != rb[assign[i]][assign[k]] for i in range(4) for k in range(4))
-    ):
-        raise InternalCheckError(
-            f"rank-pattern match onto model {model} produced a non-verifying bijection"
-        )
-    return assign is not None
+    return _model_table().get(tuple([dense[r] for r in six]))
 
 
 def are_isometric(

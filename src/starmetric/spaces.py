@@ -554,6 +554,13 @@ def require_ultrametric(space: FiniteMetricSpace) -> None:
         raise NotUltrametricError(violation)
 
 
+def _require_ball_tree(space: FiniteMetricSpace) -> tuple:
+    """The ball tree, ``(root, leaf order)``, kept by the check that accepted
+    the space; raises as :func:`require_ultrametric` does on any other."""
+    require_ultrametric(space)
+    return space._ball_tree
+
+
 def spectrum(space: FiniteMetricSpace) -> Spectrum:
     """Sorted distinct distances including 0 (the diameter last), built with the space."""
     return space._spectrum

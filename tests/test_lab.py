@@ -4,14 +4,17 @@ import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
 from starmetric import (
     E4,
+    FiniteMetricSpace,
+    FourPointClass,
     GeneratorSpec,
     InternalCheckError,
+    MODELS,
     S4,
     SizeCapError,
     W4,
@@ -288,21 +291,29 @@ class TestOracleAgreement:
             for which, check in CHECKS.items():
                 assert check(space) == conjecture_oracle(which, space), (which, space)
 
-    def test_a_wrong_bijection_on_a_memo_miss_raises(self, monkeypatch):
-        similarity._pattern_weakly_similar.cache_clear()
-        monkeypatch.setattr(similarity, "_match_ranks", lambda ra, rb: [1, 0, 2, 3])
-        with pytest.raises(lab.InternalCheckError):
-            check_k13_conjecture(S4)
+    def test_the_model_table_is_weak_similarity(self):
+        # every four-point space with distances in 1..6, looked up from its
+        # rows; the oracle searches one space per dense rank pattern, which
+        # is weakly similar to every space of that pattern
+        assert len(similarity._model_table()) == 32
+        oracle = {}
+        for six in product(range(1, 7), repeat=6):
+            ab, ac, ae, bc, be, ce = six
+            rows = ((0, ab, ac, ae), (ab, 0, bc, be), (ac, bc, 0, ce), (ae, be, ce, 0))
+            dense = {r: k for k, r in enumerate(sorted({0, *six}))}
+            pattern = tuple(dense[r] for r in six)
+            if pattern not in oracle:
+                space = FiniteMetricSpace("abcd", [[dense[r] for r in row] for row in rows])
+                oracle[pattern] = model_match(space)
+                assert (oracle[pattern] is None) != validate(space).is_ultrametric, six
+            assert similarity._quad_model(rows, (0, 1, 2, 3)) == oracle[pattern], six
+        assert len(oracle) == 4683
+        assert sum(model is not None for model in oracle.values()) == 32
 
-    def test_a_memo_hit_runs_no_match(self, monkeypatch):
-        grown = adjoin_near(W4, "w1", "1/2")
-        first = check_k112_conjecture(grown)
-
-        def no_match(ra, rb):
-            raise AssertionError("a stored pattern was matched again")
-
-        monkeypatch.setattr(similarity, "_match_ranks", no_match)
-        assert check_k112_conjecture(grown) == first
+    def test_a_model_listed_twice_raises(self, monkeypatch):
+        monkeypatch.setattr(similarity, "MODELS", {**MODELS, "V4": W4})
+        with pytest.raises(InternalCheckError, match="share a rank pattern"):
+            similarity._model_table.__wrapped__()
 
 
 class InProcessPool:
@@ -521,8 +532,8 @@ class TestIsometryClasses:
 
 
 class TestQuadMemo:
-    """The checks decide one census quad per four-point model that occurs;
-    only a broken K112 biconditional reads every quad."""
+    """The checks look up and classify one census quad per four-point model
+    that occurs; only a broken K112 biconditional reads every quad."""
 
     @pytest.mark.parametrize("which", sorted(CHECKS))
     def test_one_class_decision_per_model_that_occurs(self, monkeypatch, which):
@@ -559,14 +570,17 @@ class TestQuadMemo:
             assert CHECKS[which](space) == conjecture_oracle(which, space), index
 
     def test_k112_lists_every_violating_quad_in_order(self, monkeypatch):
-        # W4 similarity flipped for every pattern of S4 makes every S4 quad,
-        # and no other, break the biconditional
+        # every S4 quad classified K112 makes every S4 quad, and no other,
+        # break the biconditional
         space = adjoin_near(adjoin_near(W4, "w1", "1/2"), "w2", "1/4")
-        similar = lab._pattern_weakly_similar
-        monkeypatch.setattr(
-            lab, "_pattern_weakly_similar",
-            lambda pattern, model: similar(pattern, model) != (model == "W4" and similar(pattern, "S4")),
-        )
+        classify = lab._require_quad_class
+
+        def s4_as_k112(ranks, quad):
+            if model_match(restrict(space, [space.points[i] for i in quad])) == "S4":
+                return FourPointClass.K112
+            return classify(ranks, quad)
+
+        monkeypatch.setattr(lab, "_require_quad_class", s4_as_k112)
         quads = [tuple(space.points[i] for i in quad) for quad in combinations(range(space.n), 4)]
         models = [model_match(restrict(space, quad)) for quad in quads]
         expected = tuple(quad for quad, model in zip(quads, models) if model == "S4")
