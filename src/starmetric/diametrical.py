@@ -9,9 +9,9 @@ machinery.  The K_{2,2} case (a plain 4-cycle) is the forbidden pattern for
 star-generated spaces.
 
 On four points the class is read straight off the sub-diameter pairs, the
-graph's non-edges, by one private classifier that the four-point class, the
-conjecture checks and the X4/Y4 model split all share on int ranks; no graph
-is built, and no ``Fraction`` is compared.
+graph's non-edges, by one private classifier that the four-point class and
+the conjecture checks share on int ranks; no graph is built, and no
+``Fraction`` is compared.
 In a general complete multipartite graph, each vertex's part is its closed
 non-neighbourhood."""
 
@@ -113,15 +113,12 @@ def multipartite_signature(graph: SimpleGraph) -> Optional[MultipartiteSignature
     return MultipartiteSignature(tuple(len(p) for p in parts), tuple(parts))
 
 
-def _quad_class(
-    dist: Sequence[Sequence], quad: Sequence[int]
-) -> tuple[Optional[FourPointClass], list[tuple[int, int]]]:
-    """Class of the diametrical graph on four indices of ``dist``, plus its non-edges.
+def _quad_class(dist: Sequence[Sequence], quad: Sequence[int]) -> Optional[FourPointClass]:
+    """Class of the diametrical graph on four indices of ``dist``, read off
+    its non-edges, the sub-diameter pairs, listed in pair order of ``quad``.
 
     ``dist`` holds distances or their ranks; only their order is read.
-    The non-edges are the sub-diameter pairs, listed in pair order of
-    ``quad``.  None means the graph is not complete multipartite.  For K22
-    the two pairs are its parts, the pair holding ``quad[0]`` first.
+    None means the graph is not complete multipartite.
     """
     a, b, c, e = quad
     ra, rb = dist[a], dist[b]
@@ -132,14 +129,14 @@ def _quad_class(
     if len(low) == 2:
         (p, q), (r, s) = low
         # p != s already: pairs list in quad order, so p precedes r, which precedes s
-        return (_K22 if p != r and q != r and q != s else None), low
+        return _K22 if p != r and q != r and q != s else None
     if len(low) == 3:
         # a triangle on x, y, z, in quad order, lists as (x, y), (x, z), (y, z)
         (p, q), (r, s), (t, u) = low
-        return (_K13 if p == r and t == q and u == s else None), low
+        return _K13 if p == r and t == q and u == s else None
     if len(low) < 2:
-        return (_K112 if low else _K1111), low
-    return None, low
+        return _K112 if low else _K1111
+    return None
 
 
 def classify_four_point(space: FiniteMetricSpace) -> FourPointClass:
@@ -156,7 +153,7 @@ def classify_four_point(space: FiniteMetricSpace) -> FourPointClass:
 
 def _require_quad_class(dist: Sequence[Sequence], quad: Sequence[int]) -> FourPointClass:
     """The class of :func:`_quad_class`, or the error :func:`classify_four_point` raises."""
-    cls, _ = _quad_class(dist, quad)
+    cls = _quad_class(dist, quad)
     if cls is None:
         raise NotCompleteMultipartiteError(
             "diametrical graph is not complete multipartite, "

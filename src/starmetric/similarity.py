@@ -5,11 +5,13 @@ strictly increasing bijection between their distance sets carries one metric
 to the other.  Between finite totally ordered sets of equal size the
 increasing bijection is unique, so the two-sided search collapses to one:
 replace every distance by its rank in the sorted spectrum and look for a
-bijection equating the rank matrices.  Isometry is the case of equal
-spectra, so one rank-matrix matcher serves both searches.  A four-point
-quad of a larger space is named by its model without a search: its six
-ranks, densely re-ranked, are looked up among the rank patterns of the six
-four-point models' relabellings.
+bijection equating the rank matrices.  :func:`weakly_similar` is the one
+place a rank match becomes a witness, and it verifies every witness it
+returns: an isometry is its witness between spaces of equal spectra, and a
+4-cycle's model is whichever of X4 and Y4 it finds a witness to.  A
+four-point quad of a larger space is named by its model without a search:
+its six ranks, densely re-ranked, are looked up among the rank patterns of
+the six four-point models' relabellings.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from functools import cache
 from itertools import combinations, permutations
 from typing import Optional
 
-from .diametrical import FourPointClass, _quad_class
+from .diametrical import FourPointClass, classify_four_point
 from .errors import InternalCheckError, SizeCapError, _Record
-from .models import MODELS, X4, Y4
+from .models import MODELS
 from .rationals import format_rational
 from .spaces import FiniteMetricSpace, RankMatrix, rank_matrix, require_ultrametric, spectrum
 
@@ -100,23 +102,20 @@ def are_isometric(
 
     An isometry is a weak similarity whose distance map is the identity, so
     it exists iff the spectra are equal and the rank matrices match.  The
-    returned witness is the lexicographically first one.  Sizes above
-    ``max_points`` are refused explicitly rather than allowed to crawl
-    through factorial search space.
+    returned map is the lexicographically first one, the verified mapping
+    of :func:`weakly_similar`'s witness.  Sizes above ``max_points`` are
+    refused explicitly rather than allowed to crawl through factorial
+    search space.
     """
     if a.n > max_points or b.n > max_points:
         raise SizeCapError(
             f"isometry search capped at {max_points} points "
             f"(got {a.n} and {b.n}); raise max_points to override"
         )
-    if a.n != b.n:
+    if a.n != b.n or spectrum(a).values != spectrum(b).values:
         return None
-    if spectrum(a).values != spectrum(b).values:
-        return None
-    assign = _match_ranks(rank_matrix(a), rank_matrix(b))
-    if assign is None:
-        return None
-    return {a.points[i]: b.points[j] for i, j in enumerate(assign)}
+    witness = weakly_similar(a, b, max_points)
+    return None if witness is None else witness.mapping
 
 
 class WeakSimilarityWitness(_Record):
@@ -206,43 +205,25 @@ def classify_forbidden(space: FiniteMetricSpace) -> QuadModel:
     """Decide whether a 4-cycle quad matches the X4 or the Y4 model.
 
     Requires a four-point ultrametric space whose diametrical graph has
-    signature (2, 2).  Label the two non-diameter pairs (p1, p3) and
-    (p2, p4): equal chord values give the Y4 model, distinct values the X4
-    model (with the point map swapped when the second chord is the smaller).
-    The returned witness is re-verified before returning.
+    signature (2, 2).  The model is the one of X4 and Y4 the space is weakly
+    similar to, and the witness is the one :func:`weakly_similar` finds and
+    verifies.
     """
     if space.n != 4:
         raise ValueError(f"forbidden-quad classification got {space.n} points")
     require_ultrametric(space)
-    ranks = rank_matrix(space)
-    cls, low = _quad_class(ranks, (0, 1, 2, 3))
+    cls = classify_four_point(space)
     if cls is not FourPointClass.K22:
         # each class is named by its sorted part sizes, as in "K112"
-        sizes = None if cls is None else tuple(map(int, cls.value[1:]))
         raise ValueError(
             "forbidden-quad classification needs diametrical signature (2, 2), "
-            f"got {sizes}"
+            f"got {tuple(map(int, cls.value[1:]))}"
         )
-    (p1, p3), (p2, p4) = ((space.points[i], space.points[j]) for i, j in low)
-    chord_a, chord_b = (ranks[i][j] for i, j in low)
-    if chord_a == chord_b:
-        model, target = "Y4", Y4
-        phi = {p1: "y1", p2: "y2", p3: "y3", p4: "y4"}
-    elif chord_a < chord_b:
-        model, target = "X4", X4
-        phi = {p1: "x1", p2: "x2", p3: "x3", p4: "x4"}
-    else:
-        model, target = "X4", X4
-        phi = {p1: "x2", p2: "x1", p3: "x4", p4: "x3"}
-    spec_s = spectrum(space).values
-    spec_t = spectrum(target).values
-    witness = WeakSimilarityWitness(
-        phi=tuple((p, phi[p]) for p in space.points),
-        f_pairs=tuple(zip(spec_t[1:], spec_s[1:])),
-    )
-    if not witness.verify(space, target):
-        raise InternalCheckError(f"forbidden-quad witness for model {model} failed to verify")
-    return QuadModel(model, witness)
+    for model in ("X4", "Y4"):
+        witness = weakly_similar(space, MODELS[model])
+        if witness is not None:
+            return QuadModel(model, witness)
+    raise InternalCheckError("a 4-cycle quad matched neither X4 nor Y4; this is a bug")
 
 
 def model_match(space: FiniteMetricSpace) -> Optional[str]:

@@ -520,7 +520,7 @@ def four_cycle_oracle(dist):
     """The quartic scan, on distances or their ranks: the first index quad,
     in lexicographic order, whose diametrical graph is a 4-cycle, or None."""
     for quad in combinations(range(len(dist)), 4):
-        if _quad_class(dist, quad)[0] is FourPointClass.K22:
+        if _quad_class(dist, quad) is FourPointClass.K22:
             return quad
     return None
 
