@@ -103,7 +103,7 @@ def forbidden_scan(space: FiniteMetricSpace) -> Optional[ForbiddenWitness]:
     if quad is None:
         return None
     labels = tuple(space.points[i] for i in quad)
-    model = _quad_model(rank_matrix(space), quad)
+    model, _ = _quad_model(rank_matrix(space), quad) or (None, None)
     if model in ("X4", "Y4"):
         return ForbiddenWitness(labels, (2, 2), model)
     raise InternalCheckError(

@@ -10,8 +10,8 @@ star-generated spaces.
 
 On four points the class is read straight off the sub-diameter pairs, the
 graph's non-edges, by one private classifier that the four-point class and
-the conjecture checks share on int ranks; no graph is built, and no
-``Fraction`` is compared.
+the model table of the conjecture checks share on int ranks; no graph is
+built, and no ``Fraction`` is compared.
 In a general complete multipartite graph, each vertex's part is its closed
 non-neighbourhood."""
 

@@ -27,9 +27,9 @@ ultrametric space is weakly similar to exactly one of the six models, so
 each statement turns on which models occur among a space's quads, and a
 census walks the space's ball tree, read off the pass that proves the space
 ultrametric, once to name one quad for each model that occurs.  Each named
-quad is read off the space's int rank matrix twice: its model is looked up
-from its densely re-ranked pattern, and must be the one it was named for,
-and its class comes from the four-point classifier.  So each statement is
+quad's six ranks, densely re-ranked, are looked up once: the table entry
+gives its model, which must be the one it was named for, and its class, as
+the four-point classifier gives it on that pattern.  So each statement is
 one about the census's model names and the classes of its quads.  Only a
 broken K112 biconditional reads every quad, to list each one that breaks
 it.  The equidistance check's two legs keep separate algorithms, ranks and
@@ -53,7 +53,7 @@ from math import factorial
 from typing import Iterator, Optional
 
 from .decision import embeds_in_dplus
-from .diametrical import FourPointClass, _require_quad_class
+from .diametrical import FourPointClass
 from .errors import InternalCheckError, SizeCapError, _Record
 from .models import CONJECTURE_IDS, W4
 from .rationals import format_rational, parse_rational
@@ -202,10 +202,12 @@ def _isometry_classes(n: int, letters: int) -> tuple[tuple[RankMatrix, int], ...
                     found.append((level, leaves, tuple(chosen)))
                     return
                 for i in range(start, len(parts)):
-                    if parts[i][1] <= left:
-                        chosen.append(parts[i])
-                        pick(i, left - parts[i][1])
-                        chosen.pop()
+                    # parts list in ascending size, so none after this fits
+                    if parts[i][1] > left:
+                        break
+                    chosen.append(parts[i])
+                    pick(i, left - parts[i][1])
+                    chosen.pop()
 
             pick(0, leaves)
         return tuple(found)
@@ -379,28 +381,30 @@ def _census(tree: tuple) -> dict[str, tuple[int, int, int, int]]:
     return {model: tuple(sorted(quad)) for model, quad in found.items() if quad is not None}
 
 
-def _census_quads(space: FiniteMetricSpace) -> dict[str, tuple[int, int, int, int]]:
-    """The census of an ultrametric space, read off the ball tree that the
-    ultrametric check kept on accepting it.  Each quad named for a model
-    must look up as that model, or the census is wrong.
+def _census_quads(space: FiniteMetricSpace) -> dict[str, FourPointClass]:
+    """Each model the census of an ultrametric space names, read off the
+    ball tree that the ultrametric check kept on accepting it, with the
+    class of its quad.  Both come from one lookup of the quad's ranks, which
+    must give the model the quad was named for, or the census is wrong.
     """
     ranks = rank_matrix(space)
-    census = _census(_require_ball_tree(space))
-    for model, quad in census.items():
-        if _quad_model(ranks, quad) != model:
+    classes = {}
+    for model, quad in _census(_require_ball_tree(space)).items():
+        found, classes[model] = _quad_model(ranks, quad) or (None, None)
+        if found != model:
             raise InternalCheckError(
                 f"the ball-tree census named quad {quad} for model {model}, "
                 "which it is not weakly similar to"
             )
-    return census
+    return classes
 
 
 def check_equidistant(space: FiniteMetricSpace) -> EquidistantCheck:
     """Equidistance versus all-quads-K1111, evaluated independently.
 
     All distances are equal iff every off-diagonal rank is 1.  Every quad is
-    K1111 iff every census quad is, one per model that occurs, each
-    classified on its ranks in place.  The two sides are provably equivalent
+    K1111 iff every census quad is, one per model that occurs, each with
+    the class its ranks look up.  The two sides are provably equivalent
     for ultrametric spaces, so a disagreement in the returned record
     indicates a bug, not mathematics.
     """
@@ -410,8 +414,7 @@ def check_equidistant(space: FiniteMetricSpace) -> EquidistantCheck:
     n = space.n
     ranks = rank_matrix(space)
     all_equal = all(ranks[i][j] == 1 for i in range(n) for j in range(i + 1, n))
-    classes = {_require_quad_class(ranks, quad) for quad in _census_quads(space).values()}
-    return EquidistantCheck(all_equal, classes == {FourPointClass.K1111})
+    return EquidistantCheck(all_equal, set(_census_quads(space).values()) == {FourPointClass.K1111})
 
 
 class K112Check(_Record):
@@ -437,28 +440,27 @@ def check_k112_conjecture(space: FiniteMetricSpace) -> K112Check:
     """Per-quad biconditional: classifies K112 iff weakly similar to W4.
 
     A quad is W4-similar iff its model is W4, and the census names one
-    quad per model that occurs, each classified on the space's rank matrix.
-    A quad's class depends only on its model, so a census quad that breaks
-    the biconditional stands for every quad of its model; only then are all
-    quads read, to list each one that breaks it.
+    quad per model that occurs, with the class its ranks look up.  A quad's
+    class depends only on its model, so a census quad that breaks the
+    biconditional stands for every quad of its model; only then is every
+    quad looked up, to list each one that breaks it.
     """
     if space.n < 4:
         raise ValueError("K112 conjecture check needs at least four points")
     require_ultrametric(space)
     n = space.n
-    ranks = rank_matrix(space)
     census = _census_quads(space)
-    k112 = {
-        model: _require_quad_class(ranks, quad) is FourPointClass.K112
-        for model, quad in census.items()
-    }
+    k112 = {model: cls is FourPointClass.K112 for model, cls in census.items()}
     violations = ()
     if any(is_k112 != (model == "W4") for model, is_k112 in k112.items()):
+        ranks = rank_matrix(space)
+        entries = [(quad, _quad_model(ranks, quad)) for quad in combinations(range(n), 4)]
+        if any(entry is None for _, entry in entries):
+            raise InternalCheckError("a quad of an ultrametric space has no model; this is a bug")
         violations = tuple(
             tuple(space.points[i] for i in quad)
-            for quad in combinations(range(n), 4)
-            if (_require_quad_class(ranks, quad) is FourPointClass.K112)
-            != (_quad_model(ranks, quad) == "W4")
+            for quad, (model, cls) in entries
+            if (cls is FourPointClass.K112) != (model == "W4")
         )
     whole = (weakly_similar(space, W4) is not None) if n == 4 else None
     return K112Check(all(k112.values()), set(census) <= {"W4"}, whole, violations)
@@ -490,10 +492,8 @@ def check_k13_conjecture(space: FiniteMetricSpace) -> K13Check:
     if space.n < 4:
         raise ValueError("K13 conjecture check needs at least four points")
     require_ultrametric(space)
-    ranks = rank_matrix(space)
     census = _census_quads(space)
-    classes = {_require_quad_class(ranks, quad) for quad in census.values()}
-    i = classes <= {FourPointClass.K13} and "Z4" not in census
+    i = set(census.values()) <= {FourPointClass.K13} and "Z4" not in census
     ii = set(census) <= {"S4"}
     iii = embeds_in_dplus(space) is not None
     truth = {"i": i, "ii": ii, "iii": iii}

@@ -2,16 +2,13 @@
 
 Two spaces are weakly similar when a point bijection composed with a
 strictly increasing bijection between their distance sets carries one metric
-to the other.  Between finite totally ordered sets of equal size the
-increasing bijection is unique, so the two-sided search collapses to one:
-replace every distance by its rank in the sorted spectrum and look for a
-bijection equating the rank matrices.  :func:`weakly_similar` is the one
-place a rank match becomes a witness, and it verifies every witness it
-returns: an isometry is its witness between spaces of equal spectra, and a
-4-cycle's model is whichever of X4 and Y4 it finds a witness to.  A
-four-point quad of a larger space is named by its model without a search:
-its six ranks, densely re-ranked, are looked up among the rank patterns of
-the six four-point models' relabellings.
+to the other.  Between spectra of equal size that increasing bijection is
+unique, so the search replaces every distance by its rank in the spectrum
+and looks for a bijection equating the rank matrices.  :func:`weakly_similar`
+alone turns a rank match into a witness, and verifies each one it returns:
+an isometry's, and a 4-cycle's model.  A quad of a larger space needs no
+search: its six ranks, densely re-ranked, key one entry of a table of the
+six four-point models' relabelled patterns, which gives its model and class.
 """
 
 from __future__ import annotations
@@ -19,9 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
-from typing import Optional
+from typing import Optional, Sequence
 
-from .diametrical import FourPointClass, classify_four_point
+from .diametrical import FourPointClass, _quad_class, classify_four_point
 from .errors import InternalCheckError, SizeCapError, _Record
 from .models import MODELS
 from .rationals import format_rational
@@ -61,33 +58,36 @@ def _match_ranks(ra: RankMatrix, rb: RankMatrix) -> Optional[list[int]]:
 
 
 @cache
-def _model_table() -> dict[tuple[int, ...], str]:
+def _model_table() -> dict[tuple[int, ...], tuple[str, FourPointClass]]:
     """The dense rank pattern of every relabelling of every four-point model,
-    mapped to the model's name.
+    mapped to the model's name and diametrical class.
 
     A four-point space with dense ranks 1..k is weakly similar to a model
     iff some relabelling of the model has exactly its six ranks in pair
     order (12, 13, 14, 23, 24, 34), since the increasing map between two
     spectra of equal size is unique.  So the 32 patterns of the six models'
-    24 relabellings are every four-point ultrametric pattern, and two models
-    sharing one would make the name ambiguous.
+    24 relabellings are every four-point ultrametric pattern.  Two models
+    sharing one, or a model's relabellings classified apart, is a bug.
     """
-    table: dict[tuple[int, ...], str] = {}
+    table: dict[tuple[int, ...], tuple[str, FourPointClass]] = {}
     for name, model in MODELS.items():
         ranks = rank_matrix(model)
+        cls, *more = {_quad_class(ranks, perm) for perm in permutations(range(4))}
+        if cls is None or more:
+            raise InternalCheckError(f"model {name}'s relabellings get no class or two; this is a bug")
         for perm in permutations(range(4)):
-            pattern = tuple([ranks[perm[i]][perm[j]] for i, j in combinations(range(4), 2)])
-            if table.setdefault(pattern, name) != name:
+            pattern = tuple([ranks[x][y] for x, y in combinations(perm, 2)])
+            if table.setdefault(pattern, (name, cls))[0] != name:
                 raise InternalCheckError(
-                    f"models {table[pattern]} and {name} share a rank pattern; this is a bug"
+                    f"models {table[pattern][0]} and {name} share a rank pattern; this is a bug"
                 )
     return table
 
 
-def _quad_model(ranks: RankMatrix, quad: tuple[int, int, int, int]) -> Optional[str]:
-    """Name of the four-point model the quad's induced subspace is weakly
-    similar to, or None if it is not ultrametric, read off its six pair
-    ranks, densely re-ranked from 1, without building the subspace."""
+def _quad_model(ranks: RankMatrix, quad: Sequence[int]) -> Optional[tuple[str, FourPointClass]]:
+    """Name and class of the four-point model the quad's induced subspace is
+    weakly similar to, or None if it is not ultrametric, read off its six
+    pair ranks, densely re-ranked from 1, without building the subspace."""
     a, b, c, e = quad
     ra, rb = ranks[a], ranks[b]
     six = (ra[b], ra[c], ra[e], rb[c], rb[e], ranks[c][e])

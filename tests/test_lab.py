@@ -37,7 +37,7 @@ from starmetric import (
     tree_metric,
     validate,
 )
-from starmetric import lab, similarity, spaces
+from starmetric import diametrical, lab, similarity, spaces
 from helpers import (
     ball_tree_labeled,
     brute_force_ultrametrics,
@@ -294,9 +294,11 @@ class TestOracleAgreement:
     def test_the_model_table_is_weak_similarity(self):
         # every four-point space with distances in 1..6, looked up from its
         # rows; the oracle searches one space per dense rank pattern, which
-        # is weakly similar to every space of that pattern
+        # is weakly similar to every space of that pattern, and the class of
+        # each ultrametric one is the classifier's on its own rows
         assert len(similarity._model_table()) == 32
         oracle = {}
+        classified = Counter()
         for six in product(range(1, 7), repeat=6):
             ab, ac, ae, bc, be, ce = six
             rows = ((0, ab, ac, ae), (ab, 0, bc, be), (ac, bc, 0, ce), (ae, be, ce, 0))
@@ -306,13 +308,32 @@ class TestOracleAgreement:
                 space = FiniteMetricSpace("abcd", [[dense[r] for r in row] for row in rows])
                 oracle[pattern] = model_match(space)
                 assert (oracle[pattern] is None) != validate(space).is_ultrametric, six
-            assert similarity._quad_model(rows, (0, 1, 2, 3)) == oracle[pattern], six
+            entry = similarity._quad_model(rows, (0, 1, 2, 3))
+            if oracle[pattern] is None:
+                assert entry is None, six
+            else:
+                cls = diametrical._quad_class(rows, (0, 1, 2, 3))
+                assert entry == (oracle[pattern], cls), six
+                classified[cls] += 1
         assert len(oracle) == 4683
+        assert sum(classified.values()) == 561 and set(classified) == set(FourPointClass)
         assert sum(model is not None for model in oracle.values()) == 32
 
     def test_a_model_listed_twice_raises(self, monkeypatch):
         monkeypatch.setattr(similarity, "MODELS", {**MODELS, "V4": W4})
         with pytest.raises(InternalCheckError, match="share a rank pattern"):
+            similarity._model_table.__wrapped__()
+
+    @pytest.mark.parametrize("wrong", [FourPointClass.K22, None], ids=["K22", "None"])
+    def test_a_model_classified_two_ways_raises(self, monkeypatch, wrong):
+        # one relabelling of W4, a K112, gets another class or none
+        classify, w4 = similarity._quad_class, spaces.rank_matrix(W4)
+
+        def one_off(ranks, quad):
+            return wrong if ranks == w4 and tuple(quad) == (1, 0, 3, 2) else classify(ranks, quad)
+
+        monkeypatch.setattr(similarity, "_quad_class", one_off)
+        with pytest.raises(InternalCheckError, match="W4's relabellings get no class or two"):
             similarity._model_table.__wrapped__()
 
 
@@ -420,6 +441,11 @@ def labelled_route(monkeypatch, spec, which):
 
 LETTERS = ("1/2", "1", "3", "7")
 
+# the sha256 of the JSON of every (level rows, orbit size) pair that
+# _isometry_classes lists for n <= 9 over k <= 4 letters, one per line, as
+# the listing gave them when pick still scanned every part
+CLASSES_DIGEST = "696389eaecb0d0c94b0ed82b8cade6a3937cfbca94b8dc8d8c142ebdd721bb9f"
+
 
 class TestIsometryClasses:
     """Exhaustive campaigns check one ball-tree representative per class; the
@@ -432,6 +458,14 @@ class TestIsometryClasses:
         spec = GeneratorSpec(n=n, alphabet=LETTERS[:k], override_caps=True)
         classes = lab._isometry_classes(n, k)
         assert sum(orbit for _, orbit in classes) == len(list(enumerate_ultrametrics(spec)))
+
+    def test_the_class_listing_is_pinned(self):
+        digest = hashlib.sha256()
+        for n in range(1, 10):
+            for k in range(1, 5):
+                for rows, orbit in lab._isometry_classes(n, k):
+                    digest.update(json.dumps([rows, orbit]).encode() + b"\n")
+        assert digest.hexdigest() == CLASSES_DIGEST
 
     @pytest.mark.parametrize("k, labelled, classes", [(3, 167_894, 223), (4, 1_855_570, 1_344)])
     def test_eight_points_match_the_multichain_counts(self, k, labelled, classes):
@@ -532,22 +566,23 @@ class TestIsometryClasses:
 
 
 class TestQuadMemo:
-    """The checks look up and classify one census quad per four-point model
-    that occurs; only a broken K112 biconditional reads every quad."""
+    """The checks look up the model and class of one census quad per
+    four-point model that occurs; only a broken K112 biconditional looks up
+    every quad."""
 
     @pytest.mark.parametrize("which", sorted(CHECKS))
     def test_one_class_decision_per_model_that_occurs(self, monkeypatch, which):
         spec = GeneratorSpec(n=8, alphabet=("1", "2", "3", "4"), mode="sample", seed=17, count=40)
-        classify = lab._require_quad_class
+        lookup = lab._quad_model
         for index in range(spec.count):
             space = sample_dendrogram(spec, index)
             seen = []
 
             def counted(ranks, quad):
                 seen.append(quad)
-                return classify(ranks, quad)
+                return lookup(ranks, quad)
 
-            monkeypatch.setattr(lab, "_require_quad_class", counted)
+            monkeypatch.setattr(lab, "_quad_model", counted)
             CHECKS[which](space)
             assert all(list(quad) == sorted(set(quad)) for quad in seen), seen
             models = [model_match(restrict(space, [space.points[i] for i in quad])) for quad in seen]
@@ -573,19 +608,37 @@ class TestQuadMemo:
         # every S4 quad classified K112 makes every S4 quad, and no other,
         # break the biconditional
         space = adjoin_near(adjoin_near(W4, "w1", "1/2"), "w2", "1/4")
-        classify = lab._require_quad_class
+        lookup = lab._quad_model
 
         def s4_as_k112(ranks, quad):
+            model, cls = lookup(ranks, quad)
             if model_match(restrict(space, [space.points[i] for i in quad])) == "S4":
-                return FourPointClass.K112
-            return classify(ranks, quad)
+                return model, FourPointClass.K112
+            return model, cls
 
-        monkeypatch.setattr(lab, "_require_quad_class", s4_as_k112)
+        monkeypatch.setattr(lab, "_quad_model", s4_as_k112)
         quads = [tuple(space.points[i] for i in quad) for quad in combinations(range(space.n), 4)]
         models = [model_match(restrict(space, quad)) for quad in quads]
         expected = tuple(quad for quad, model in zip(quads, models) if model == "S4")
         assert len(expected) > 1 and {"W4", "X4"} <= set(models)
         assert check_k112_conjecture(space).biconditional_violations == expected
+
+    def test_a_quad_with_no_entry_raises(self, monkeypatch):
+        # a census quad classified K112 off W4 sends the listing to every
+        # quad, and a quad of an ultrametric space that looks up nothing is
+        # a bug
+        space = adjoin_near(adjoin_near(W4, "w1", "1/2"), "w2", "1/4")
+        lookup = lab._quad_model
+
+        def broken(ranks, quad):
+            model, cls = lookup(ranks, quad)
+            if quad == (2, 3, 4, 5):
+                return None
+            return model, FourPointClass.K112 if model == "S4" else cls
+
+        monkeypatch.setattr(lab, "_quad_model", broken)
+        with pytest.raises(InternalCheckError, match="has no model"):
+            check_k112_conjecture(space)
 
     def test_a_census_quad_of_the_wrong_model_raises(self, monkeypatch):
         census = lab._census

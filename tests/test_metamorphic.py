@@ -2,19 +2,29 @@
 
 The join X v Y of two star-generated spaces, at a level above both
 diameters, is FORBIDDEN, and its first 4-cycle and that quad's model are
-known from X and Y alone.
+known from X and Y alone.  Permuting a space's points keeps its verdict
+and every conjecture record, and the permuted space's own witness still
+satisfies its definition.
 """
 
 import random
+from operator import itemgetter
 
 from starmetric import (
     FiniteMetricSpace,
+    GeneratorSpec,
     Verdict,
+    check_equidistant,
+    check_k112_conjecture,
+    check_k13_conjecture,
     classify_forbidden,
     diagnose,
     forbidden_scan,
+    model_match,
     restrict,
+    sample_dendrogram,
 )
+from starmetric.stars import center_condition_violation
 
 
 def us_weights(rng: random.Random, n: int) -> list[int]:
@@ -62,3 +72,81 @@ class TestJoins:
             assert classify_forbidden(restrict(space, quad)).model == model
             models.add(model)
         assert models == {"X4", "Y4"}
+
+
+def forbidden_tree(rng: random.Random, n: int, top: int) -> list[list[str]]:
+    """Text rows of a seeded random ball tree: the points split into two to
+    four runs at level ``top``, each run split again below it, down to level
+    1.  Two runs of two or more points under one ball make a 4-cycle, so at
+    the sizes drawn here the space is all but surely FORBIDDEN."""
+    rows = [["0"] * n for _ in range(n)]
+    stack = [(0, n, top)]
+    while stack:
+        first, size, level = stack.pop()
+        for x in range(first, first + size):
+            rows[x][first : first + size] = [str(level)] * size
+            rows[x][x] = "0"
+        if level > 1 and size > 1:
+            cuts = sorted(rng.sample(range(1, size), min(size - 1, rng.randint(1, 3))))
+            bounds = [0, *cuts, size]
+            stack += [(first + a, b - a, level - 1) for a, b in zip(bounds, bounds[1:])]
+    return rows
+
+
+def relabelled(labels: list[str], rows: list[list], order: list[int]) -> FiniteMetricSpace:
+    """The space with its points listed in ``order``, each keeping its label
+    and its distances."""
+    pick = itemgetter(*order)
+    return FiniteMetricSpace(pick(labels), [pick(rows[i]) for i in order])
+
+
+def max_rows(w: list[int]) -> list[list[str]]:
+    """Text rows of the max-metric on the weights ``w``: text cells, as a
+    file gives them, are parsed once per distinct text."""
+    text = list(map(str, range(max(w) + 1)))
+    rows = [[text[b if b > a else a] for b in w] for a in w]
+    for i, row in enumerate(rows):
+        row[i] = "0"
+    return rows
+
+
+class TestRelabelling:
+    def test_permuting_the_points_keeps_the_verdict_and_valid_witnesses(self):
+        # the verdict is a property of the space, not of its point order, and
+        # the permuted space's own witness satisfies its definition: a center
+        # of the star, or a quad whose four points are an X4 or a Y4
+        rng = random.Random(26)
+        cases = [(Verdict.US, max_rows(us_weights(rng, n))) for n in (256, 2048)]
+        for nx, ny in ((128, 128), (300, 700)):
+            wx, wy = us_weights(rng, nx), us_weights(rng, ny)
+            cross = str(max(wx + wy) + 1)
+            rows = [row + [cross] * ny for row in max_rows(wx)] + [[cross] * nx + row for row in max_rows(wy)]
+            cases.append((Verdict.FORBIDDEN, rows))
+        cases += [(Verdict.FORBIDDEN, forbidden_tree(rng, n, 6)) for n in (256, 1024)]
+        for verdict, rows in cases:
+            n = len(rows)
+            labels = [f"q{i}" for i in range(n)]
+            order = list(range(n))
+            rng.shuffle(order)
+            assert diagnose(FiniteMetricSpace(labels, rows)).verdict is verdict, n
+            space = relabelled(labels, rows, order)
+            report = diagnose(space)
+            assert report.verdict is verdict, n
+            if verdict is Verdict.US:
+                assert center_condition_violation(space, report.center.center) is None, n
+            else:
+                quad = report.forbidden.quad
+                assert report.forbidden.model in ("X4", "Y4")
+                assert model_match(restrict(space, quad)) == report.forbidden.model, (n, quad)
+
+    def test_permuting_the_points_keeps_every_conjecture_record(self):
+        checks = (check_equidistant, check_k112_conjecture, check_k13_conjecture)
+        rng = random.Random(26)
+        for index in range(150):
+            spec = GeneratorSpec(n=4 + index % 13, alphabet=("1", "2", "3", "4", "5"), mode="sample", seed=26)
+            space = sample_dendrogram(spec, index)
+            order = list(range(space.n))
+            rng.shuffle(order)
+            permuted = relabelled(list(space.points), space.dist, order)
+            for check in checks:
+                assert check(permuted) == check(space), (index, check.__name__)
