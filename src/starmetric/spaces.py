@@ -7,11 +7,13 @@ off-diagonal entries); the triangle inequalities are checked by
 :func:`validate`, which distinguishes metric from ultrametric input and
 reports the first violating triple.
 
-Construction parses each distinct numeral text once and ranks the distinct
-values once, exactly, and a space holds just that: its spectrum and its int
-rank matrix.  The structural checks and every order-only kernel (the
-ultrametric check, the nearest neighbours, the center, the four-point
-classes) read the ranks; a single distance is its rank's spectrum value.
+Construction maps each cell to an id in order of first appearance, parses
+each distinct cell (a numeral text, an int or a ``Fraction``) once, ranks
+the distinct values once, exactly, and replaces each row of ids by its row
+of ranks; a space holds just the spectrum and that int rank matrix.  The
+structural checks and every order-only kernel (the ultrametric check, the
+nearest neighbours, the center, the four-point classes) read the ranks; a
+single distance is its rank's spectrum value.
 The ``Fraction`` matrix ``dist`` is built on first read, for the routes that
 sum or copy whole rows of values: ``validate``'s metric flag and
 :func:`adjoin_near`; :meth:`FiniteMetricSpace.to_dict` formats each spectrum
@@ -25,8 +27,10 @@ lexicographically in the stored point order: every operation is deterministic.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
+from operator import itemgetter
 from typing import Iterable, Mapping, NoReturn, Optional, Sequence
 
 from .errors import InternalCheckError, InvalidSpaceError, NotUltrametricError, _Record
@@ -51,14 +55,17 @@ class FiniteMetricSpace:
         if len(set(pts)) != len(pts):
             raise InvalidSpaceError("labels", "point labels must be unique")
         n = len(pts)
-        rows, value_of = _parse_cells(list(dist))
+        rows, values = _parse_cells(list(dist))
         if len(rows) != n or any(len(row) != n for row in rows):
             raise InvalidSpaceError(
                 "shape", f"distance matrix must be {n}x{n} to match {n} points"
             )
-        rank, distinct = _rank_values([Fraction(0), *value_of.values()])
-        rank_of = dict(zip(value_of, rank[1:]))
-        ranks = tuple(tuple(map(rank_of.__getitem__, row)) for row in rows)
+        rank, distinct = _rank_values(values)
+        # each row of ids gives way to its row of ranks, so the two matrices
+        # never both exist
+        for i, row in enumerate(rows):
+            rows[i] = _gather(rank, row)
+        ranks = tuple(rows)
         # rank 0 is the value 0 exactly when no value is negative
         zero = rank[0]
         if not (
@@ -245,35 +252,43 @@ class Spectrum(_Record):
         return self.values[1:]
 
 
-def _parse_cells(rows: list) -> tuple[list, dict]:
-    """The matrix as rows of cell keys, and each key's value, every distinct
-    key parsed once and in row order, so the first bad numeral is the first
+_EXACT = frozenset({str, int, Fraction})
+
+
+def _parse_cells(rows: list) -> tuple[list, list[Fraction]]:
+    """The matrix as rows of cell ids, and the value of each id, 0 at id 0.
+    The distinct cells take ids from 1 in order of first appearance and are
+    parsed once each in that order, so the first bad numeral is the first
     one a per-cell parse would meet.
 
-    When every cell is a str, as in every file, the cells are their own
-    keys, and the distinct texts are listed and parsed at C speed.  Any other
-    cell is parsed on its own and keyed on the Fraction it parses to, never
-    on the raw cell: 1, True and 1.0 share a hash, and a list has none.
+    Rows map to ids at C speed when every cell is a str, an int or a
+    Fraction, types whose equal cells have equal values.  Only a str equals
+    a str key, but True or 1.0 may hide behind an equal int or Fraction key,
+    so those keys need one pass over the cells' types.  Every other matrix
+    is parsed cell by cell, and keyed on the Fractions.
     """
     # rows of another type may be one-shot iterators, which a second pass finds empty
     if set(map(type, rows)) <= {list, tuple}:
+        ids = defaultdict(count(1).__next__)
         try:
-            texts = dict.fromkeys(chain.from_iterable(rows))
+            id_rows = [_gather(ids, row) for row in rows]
         except TypeError:  # an unhashable cell
-            texts = {}
-        if set(map(type, texts)) == {str}:
-            return rows, dict(zip(texts, map(parse_rational, texts)))
-    value_of: dict = {}
-    key_rows = []
-    for row in rows:
-        keys = []
-        for x in row:
-            key = x if type(x) is str else parse_rational(x)
-            if key not in value_of:
-                value_of[key] = parse_rational(key)
-            keys.append(key)
-        key_rows.append(keys)
-    return key_rows, value_of
+            pass
+        else:
+            kinds = set(map(type, ids))
+            if kinds == {str} or (
+                kinds <= _EXACT and set(map(type, chain.from_iterable(rows))) <= _EXACT
+            ):
+                return id_rows, [Fraction(0), *map(parse_rational, ids)]
+    return _parse_cells([[parse_rational(x) for x in row] for row in rows])
+
+
+def _gather(table, row) -> tuple:
+    """``tuple(table[x] for x in row)``, in one ``itemgetter`` call when the
+    row has two cells or more (it returns one item bare, and takes none)."""
+    if len(row) > 1:
+        return itemgetter(*row)(table)
+    return tuple(table[x] for x in row)
 
 
 _INF = float("inf")

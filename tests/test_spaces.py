@@ -1,7 +1,13 @@
 """Core space representation, validation, and constructive operations."""
 
+import os
 import random
+import subprocess
+import sys
+import time
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +31,9 @@ from starmetric import (
     validate,
 )
 from starmetric.spaces import require_ultrametric
-from helpers import relabel, sample_space, validate_oracle
+from helpers import (
+    construct_oracle, construct_outcome, outcome, relabel, sample_space, validate_oracle,
+)
 
 
 def quad(v12, v13, v14, v23, v24, v34, labels=("a", "b", "c", "d")):
@@ -91,6 +99,156 @@ class TestConstruction:
         with pytest.raises(InvalidSpaceError, match="'zz'") as err:
             FiniteMetricSpace.from_pairs(("a", "b"), {("a", "zz"): 1})
         assert err.value.kind == "labels"
+
+
+def max_metric(n: int, cell=str) -> list:
+    """The max-metric matrix on n points, d(i, j) = max(i, j) + 1, each
+    entry made by ``cell``: n distinct values."""
+    return [[cell(0) if i == j else cell(max(i, j) + 1) for j in range(n)] for i in range(n)]
+
+
+def build_time(points, dist, repeat: int = 3) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        FiniteMetricSpace(points, dist)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+class TestCellIds:
+    """Construction maps each cell to an id in first-appearance order,
+    parses each id's cell once, then gathers each row's ranks by id."""
+
+    def assert_as_oracle(self, dist):
+        points = [f"p{k}" for k in range(max(len(dist), 1))]
+        expected = outcome(construct_oracle, points, dist)
+        assert construct_outcome(points, dist) == expected
+        return expected
+
+    @pytest.mark.parametrize("cell", [str, int, Fraction])
+    def test_one_and_two_points(self, cell):
+        one = FiniteMetricSpace(("a",), [[cell(0)]])
+        assert rank_matrix(one) == ((0,),) and spectrum(one).values == (0,)
+        two = FiniteMetricSpace(("a", "b"), [[cell(0), cell(3)], [cell(3), cell(0)]])
+        assert rank_matrix(two) == ((0, 1), (1, 0)) and spectrum(two).values == (0, 3)
+        for dist in ([[cell(0)]], [[cell(0), cell(3)], [cell(3), cell(0)]], [[cell(0), cell(3)]]):
+            self.assert_as_oracle(dist)
+
+    @pytest.mark.parametrize(
+        "dist, kind",
+        [
+            ([[]], "shape"),
+            ([[], ["1", "0"]], "shape"),
+            ([["0", "1"], []], "shape"),
+            ([["0"], ["1", "0"]], "shape"),
+            ([["0", "1", "2"], ["1", "0"]], "shape"),
+            ([["0", "1"], ["1", "0"], ["2"]], "shape"),
+            ([[0, 1], [1]], "shape"),
+            ([["0", "1"], ["1", "0", "zz"]], None),
+            ([[], ["0", "y"]], None),
+            ([["0", "1", "2", "x"], ["1", "0"]], None),
+            ([["x"]], None),
+        ],
+    )
+    def test_empty_short_and_long_rows(self, dist, kind):
+        # a bad numeral in any row is reported before the shape is checked
+        expected = self.assert_as_oracle(dist)
+        assert issubclass(expected[0], ValueError) and expected[1] == kind
+        assert kind or "not an exact rational" in expected[2]
+
+    @pytest.mark.parametrize(
+        "dist, message",
+        [
+            ([[0, ["1"]], [["1"], 0]], "not an exact rational: ['1']"),
+            ([["0", "x"], [{}, "0"]], "not an exact rational: 'x'"),
+            ([["0", [1]], ["x", "0"]], "not an exact rational: [1]"),
+            ([[0, 1], [True, 0]], "not an exact rational: True"),
+            ([[0, 1], [1.0, 0]], "refusing float 1.0: "),
+            ([[0, Fraction(1)], [True, 0]], "not an exact rational: True"),
+            ([[0, Fraction(1, 2)], [0.5, 0]], "refusing float 0.5: "),
+            ([["0", 1], [1.0, "0"]], "refusing float 1.0: "),
+        ],
+        ids=[
+            "unhashable", "text-before-unhashable", "unhashable-before-text", "bool-beside-int",
+            "float-beside-int", "bool-beside-fraction", "float-beside-fraction",
+            "float-beside-text-and-int",
+        ],
+    )
+    def test_cells_that_are_no_exact_numbers_are_refused(self, dist, message):
+        with pytest.raises(ValueError) as err:
+            FiniteMetricSpace(("a", "b"), dist)
+        assert str(err.value).startswith(message)
+        assert self.assert_as_oracle(dist)[2] == str(err.value)
+
+    def test_spellings_of_one_value_share_a_rank(self):
+        space = FiniteMetricSpace(
+            ("a", "b", "c"), [["0", "1/2", "1"], ["0.5", "0", 1], [Fraction(1), "1.0", 0]]
+        )
+        assert rank_matrix(space) == ((0, 1, 2), (1, 0, 2), (2, 2, 0))
+        assert spectrum(space).values == (0, Fraction(1, 2), 1)
+
+    def test_the_first_bad_numeral_in_row_order_is_named(self):
+        for dist, bad in (
+            ([["0", "1", "1"], ["1", "0", "b1"], ["b0", "b2", "0"]], "b1"),
+            ([["0", "1", "1"], ["1", "0", "1"], ["b0", "b1", "0"]], "b0"),
+            ([["0", "1", "b"], ["1", "0", "a"], ["a", "b", "0"]], "b"),
+            ([["0", 1, 2], [1, 0, "q"], ["p", "q", 0]], "q"),
+        ):
+            with pytest.raises(ValueError, match=f"not an exact rational: '{bad}'"):
+                FiniteMetricSpace(("a", "b", "c"), dist)
+            self.assert_as_oracle(dist)
+
+    def test_ranks_do_not_depend_on_the_hash_seed(self):
+        # distinct texts whose first appearance and value orders differ
+        script = (
+            "import random; from starmetric import FiniteMetricSpace, rank_matrix, spectrum\n"
+            "rng = random.Random(3); n = 40\n"
+            "dist = [['0'] * n for _ in range(n)]\n"
+            "for i in range(n):\n"
+            "    for j in range(i + 1, n):\n"
+            "        v = rng.randrange(1, 10**6)\n"
+            "        dist[i][j], dist[j][i] = str(v), f'{v}/1' if v % 3 else f'{v}.0'\n"
+            "space = FiniteMetricSpace([f'p{k}' for k in range(n)], dist)\n"
+            "print(rank_matrix(space), spectrum(space).values)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+            )
+            assert run.returncode == 0, run.stderr
+            outs.append(run.stdout)
+        assert outs[0] == outs[1]
+
+    def test_int_and_fraction_cells_build_as_fast_as_text(self):
+        # int and Fraction cells take the id route that text takes; parsed
+        # one by one, ints build about 25 times slower than their text
+        n = 512
+        points = [f"p{k}" for k in range(n)]
+        texts, ints = max_metric(n), max_metric(n, int)
+        space = FiniteMetricSpace(points, texts)
+        assert FiniteMetricSpace(points, ints) == space
+        assert FiniteMetricSpace(points, max_metric(n, Fraction)) == space
+        assert build_time(points, ints) < 2 * build_time(points, texts)
+
+    def test_the_id_and_rank_matrices_never_both_exist(self):
+        # the peak while building is the rank rows the space keeps, the id
+        # rows they replace one by one, and the small tables of distinct
+        # cells; a third matrix-sized block would take it past 2.5 times
+        n = 512
+        points = [f"p{k}" for k in range(n)]
+        dist = max_metric(n)
+        tracemalloc.start()
+        try:
+            space = FiniteMetricSpace(points, dist)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert space.n == n
+        assert peak < 2.5 * kept, (peak, kept)
 
 
 class TestValidate:
