@@ -141,34 +141,32 @@ def shift(space: FiniteMetricSpace, delta: RationalLike) -> FiniteMetricSpace:
     again ultrametric and the diametrical graph of every subset is unchanged,
     because subtracting a constant preserves the order of distances.
     """
-    delta = parse_rational(delta)
-    if delta < 0:
-        raise ValueError(f"delta = {delta} must be non-negative")
-    require_ultrametric(space)
-    if delta == 0:
-        return space
-    floor = min_positive_distance(space)
-    if floor is not None and delta >= floor:
-        raise ValueError(f"delta = {delta} must be strictly below min D0 = {floor}")
-    return _offset(space, -delta)
+    return _offset(space, delta, -1)
 
 
 def unshift(space: FiniteMetricSpace, delta: RationalLike) -> FiniteMetricSpace:
     """Add ``delta`` to every positive distance; exact inverse of :func:`shift`."""
+    return _offset(space, delta, 1)
+
+
+def _offset(space: FiniteMetricSpace, delta: RationalLike, sign: int) -> FiniteMetricSpace:
+    """The space with ``sign * delta`` added to every positive distance.
+
+    Parses ``delta``, rejects a negative one, runs the guard and returns the
+    space itself for 0; a shift down must stay below min D0.  The order, so
+    the rank matrix, is unchanged."""
     delta = parse_rational(delta)
     if delta < 0:
         raise ValueError(f"delta = {delta} must be non-negative")
     require_ultrametric(space)
     if delta == 0:
         return space
-    return _offset(space, delta)
-
-
-def _offset(space: FiniteMetricSpace, delta: Fraction) -> FiniteMetricSpace:
-    """The space with ``delta`` added to every off-diagonal distance, which
-    the caller keeps positive: the order, so the rank matrix, is unchanged."""
+    if sign < 0:
+        floor = min_positive_distance(space)
+        if floor is not None and delta >= floor:
+            raise ValueError(f"delta = {delta} must be strictly below min D0 = {floor}")
     zero, *positive = spectrum(space).values
-    values = [zero] + [value + delta for value in positive]
+    values = [zero] + [value + sign * delta for value in positive]
     return FiniteMetricSpace._trusted(space.points, rank_matrix(space), values)
 
 

@@ -73,10 +73,6 @@ class FourPointClass(Enum):
     K22 = "K22"
 
 
-# plain names: an Enum member lookup costs as much as the quad's pair tests
-_K1111, _K112, _K13, _K22 = FourPointClass
-
-
 def diametrical_graph(space: FiniteMetricSpace) -> SimpleGraph:
     """Graph joining exactly the pairs at distance equal to the diameter."""
     n = space.n
@@ -129,13 +125,13 @@ def _quad_class(dist: Sequence[Sequence], quad: Sequence[int]) -> Optional[FourP
     if len(low) == 2:
         (p, q), (r, s) = low
         # p != s already: pairs list in quad order, so p precedes r, which precedes s
-        return _K22 if p != r and q != r and q != s else None
+        return FourPointClass.K22 if p != r and q != r and q != s else None
     if len(low) == 3:
         # a triangle on x, y, z, in quad order, lists as (x, y), (x, z), (y, z)
         (p, q), (r, s), (t, u) = low
-        return _K13 if p == r and t == q and u == s else None
+        return FourPointClass.K13 if p == r and t == q and u == s else None
     if len(low) < 2:
-        return _K112 if low else _K1111
+        return FourPointClass.K112 if low else FourPointClass.K1111
     return None
 
 
@@ -148,12 +144,7 @@ def classify_four_point(space: FiniteMetricSpace) -> FourPointClass:
     """
     if space.n != 4:
         raise ValueError(f"four-point classification got {space.n} points")
-    return _require_quad_class(rank_matrix(space), (0, 1, 2, 3))
-
-
-def _require_quad_class(dist: Sequence[Sequence], quad: Sequence[int]) -> FourPointClass:
-    """The class of :func:`_quad_class`, or the error :func:`classify_four_point` raises."""
-    cls = _quad_class(dist, quad)
+    cls = _quad_class(rank_matrix(space), (0, 1, 2, 3))
     if cls is None:
         raise NotCompleteMultipartiteError(
             "diametrical graph is not complete multipartite, "

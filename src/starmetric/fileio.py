@@ -47,10 +47,6 @@ def _load_json(text: str):
         raise ParseError("invalid JSON: nested too deeply to decode") from exc
 
 
-def space_from_json_text(text: str) -> FiniteMetricSpace:
-    return FiniteMetricSpace.from_dict(_load_json(text))
-
-
 def _csv_rows(text: str) -> list:
     """The rows of a CSV text that hold a non-blank cell, each cell stripped.
 
@@ -89,7 +85,7 @@ def parse_space_text(text: str, kind: str | None = None) -> FiniteMetricSpace:
     if kind is None:
         kind = "json" if text.lstrip().startswith("{") else "csv"
     if kind == "json":
-        return space_from_json_text(text)
+        return FiniteMetricSpace.from_dict(_load_json(text))
     if kind == "csv":
         return space_from_csv_text(text)
     raise ParseError(f"unknown space format {kind!r}")

@@ -129,9 +129,6 @@ def enumerate_ultrametrics(spec: GeneratorSpec) -> Iterator[FiniteMetricSpace]:
     _require_exhaustive(spec)
     n = spec.n
     labels = _point_labels(n)
-    if n == 1:
-        yield FiniteMetricSpace(labels, [[0]])
-        return
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
     index_of = {cell: k for k, cell in enumerate(cells)}
     # triples completed by each cell: cell (i, j) closes {p, i, j} for p < i
@@ -596,13 +593,6 @@ def _sample_chunk(spec: GeneratorSpec, which: str, start: int) -> Optional[tuple
     return None
 
 
-def _reverify_counterexample(which: str, space_dict: dict) -> Optional[str]:
-    # independent path: serialize to text, reload through the file-format
-    # constructor, re-run the check from scratch
-    reloaded = FiniteMetricSpace.from_dict(json.loads(json.dumps(space_dict)))
-    return evaluate_conjecture(which, reloaded)
-
-
 def _orbit_sum_if_all_hold(spec: GeneratorSpec, which: str) -> Optional[int]:
     """The number of labelled spaces when one representative of each
     isometry class satisfies the conjecture, else None.
@@ -692,8 +682,10 @@ def run_campaign(spec: GeneratorSpec, which: str, jobs: int = 1) -> ConjectureRe
     counterexample = None
     if bad_space is not None:
         space_dict = bad_space.to_dict()
-        recheck = _reverify_counterexample(which, space_dict)
-        if recheck is None:
+        # independent path: serialize to text, reload through the file-format
+        # constructor, re-run the check from scratch
+        reloaded = FiniteMetricSpace.from_dict(json.loads(json.dumps(space_dict)))
+        if evaluate_conjecture(which, reloaded) is None:
             raise InternalCheckError(
                 "counterexample failed to re-verify from its serialized form"
             )

@@ -213,26 +213,13 @@ def tree_metric(tree: LabeledTree) -> FiniteMetricSpace:
 
 
 def star_metric(star: LabeledStarGraph) -> FiniteMetricSpace:
-    """The metric generated by a labeled star.
+    """The metric generated by a labeled star: the tree metric of
+    :meth:`~LabeledStarGraph.to_tree`, its points in ``star.order``.
 
     Leaf-to-leaf distance is max(leaf label, leaf label, center label);
     center-to-leaf distance drops the second leaf term.
     """
-    label = {star.center: star.center_label}
-    label.update(dict(zip(star.leaves, star.leaf_labels)))
-    order = star.order
-    n = len(order)
-    c = star.center_label
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            u, v = order[i], order[j]
-            if u == star.center or v == star.center:
-                value = max(label[u], label[v])
-            else:
-                value = max(label[u], label[v], c)
-            rows[i][j] = rows[j][i] = value
-    return FiniteMetricSpace(order, rows)
+    return tree_metric(star.to_tree())
 
 
 def center_condition_violation(

@@ -8,7 +8,7 @@ multipartite oracle takes the complement graph's components by breadth-first
 search and tests each for a clique.  The order-only kernels, which the
 package runs on each space's int rank matrix, keep their ``Fraction``
 versions here: the constructor's checks with a per-cell parse, the
-spanning-tree ultrametric check, the center search, the center condition,
+spanning-tree ultrametric check, the center search, the center condition, the star formula,
 the violating-triple scan, the quartic 4-cycle scan and the max-metric
 weights, all comparing the exact distances.  The full cubic triple scan and
 the quartic 4-cycle scan, which the package replaced by O(n^2) searches, also
@@ -82,6 +82,26 @@ def random_star(rng: random.Random, max_leaves: int = 12) -> LabeledStarGraph:
             value = Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 4)))
         leaf_labels[f"v{i + 1}"] = value
     return LabeledStarGraph.build("hub", center_label, leaf_labels)
+
+
+def star_metric_oracle(star: LabeledStarGraph) -> FiniteMetricSpace:
+    """The star formula over ``star.order``, without building a tree:
+    leaf-to-leaf distance is max(leaf label, leaf label, center label), and
+    center-to-leaf distance drops the second leaf term."""
+    label = {star.center: star.center_label}
+    label.update(zip(star.leaves, star.leaf_labels))
+    order = star.order
+    n = len(order)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            u, v = order[i], order[j]
+            if star.center in (u, v):
+                value = max(label[u], label[v])
+            else:
+                value = max(label[u], label[v], star.center_label)
+            rows[i][j] = rows[j][i] = value
+    return FiniteMetricSpace(order, rows)
 
 
 def brute_force_ultrametrics(n: int, alphabet) -> list[FiniteMetricSpace]:

@@ -229,6 +229,11 @@ class TestDplusAndGen:
         )
         assert result.returncode == 0 and len(result.stdout.splitlines()) == 3
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+    def test_gen_one_point_over_an_empty_alphabet(self, capsys, mode):
+        assert cli.main(["gen", "--n", "1", "--alphabet", "", "--mode", mode, "--count", "1"]) == 0
+        assert capsys.readouterr() == ('{"points": ["p1"], "dist": [["0"]]}\n', "")
+
     def test_gen_cap_is_usage_error(self):
         assert run_cli("gen", "--n", "6", "--alphabet", "1").returncode == 2
 

@@ -94,11 +94,25 @@ class TestEnumerate:
         spec = GeneratorSpec(n=1, alphabet=("1",))
         assert [s.points for s in enumerate_ultrametrics(spec)] == [("p1",)]
 
+    def test_singleton_over_any_alphabet(self):
+        # the general fill emits the one point from zero cells, its unused
+        # letters dropped from the spectrum
+        for alphabet in ((), ("1", "2")):
+            found = list(enumerate_ultrametrics(GeneratorSpec(n=1, alphabet=alphabet)))
+            assert found == [FiniteMetricSpace(["p1"], [[0]])]
+            assert spaces.spectrum(found[0]).values == (Fraction(0),)
+
 
 class TestSampleDendrogram:
     def test_singleton(self):
         spec = GeneratorSpec(n=1, alphabet=("1",), mode="sample", seed=3)
         assert sample_dendrogram(spec).points == ("p1",)
+
+    def test_singleton_over_an_empty_alphabet(self):
+        # a single point needs no distance letter, and the sampler draws none
+        space = sample_dendrogram(GeneratorSpec(n=1, alphabet=(), mode="sample", seed=3, count=1))
+        assert space == FiniteMetricSpace(["p1"], [[0]])
+        assert spaces.spectrum(space).values == (Fraction(0),)
 
     def test_always_ultrametric(self):
         for seed in range(40):

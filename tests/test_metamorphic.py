@@ -4,15 +4,21 @@ The join X v Y of two star-generated spaces, at a level above both
 diameters, is FORBIDDEN, and its first 4-cycle and that quad's model are
 known from X and Y alone.  Permuting a space's points keeps its verdict
 and every conjecture record, and the permuted space's own witness still
-satisfies its definition.
+satisfies its definition.  Shifting every positive distance, up by any
+constant or down by one below the smallest, keeps their order and so the
+diagnosis, and the two shifts undo each other.
 """
 
 import random
+from fractions import Fraction
 from operator import itemgetter
+
+import pytest
 
 from starmetric import (
     FiniteMetricSpace,
     GeneratorSpec,
+    NotUltrametricError,
     Verdict,
     check_equidistant,
     check_k112_conjecture,
@@ -20,9 +26,13 @@ from starmetric import (
     classify_forbidden,
     diagnose,
     forbidden_scan,
+    min_positive_distance,
     model_match,
+    rank_matrix,
     restrict,
     sample_dendrogram,
+    shift,
+    unshift,
 )
 from starmetric.stars import center_condition_violation
 
@@ -110,20 +120,26 @@ def max_rows(w: list[int]) -> list[list[str]]:
     return rows
 
 
+def large_cases(rng: random.Random) -> list[tuple[Verdict, list[list[str]]]]:
+    """Seeded text rows of 256 to 2,048 points with their verdicts: two star
+    spaces, two joins of star spaces and two random ball trees."""
+    cases = [(Verdict.US, max_rows(us_weights(rng, n))) for n in (256, 2048)]
+    for nx, ny in ((128, 128), (300, 700)):
+        wx, wy = us_weights(rng, nx), us_weights(rng, ny)
+        cross = str(max(wx + wy) + 1)
+        rows = [row + [cross] * ny for row in max_rows(wx)] + [[cross] * nx + row for row in max_rows(wy)]
+        cases.append((Verdict.FORBIDDEN, rows))
+    cases += [(Verdict.FORBIDDEN, forbidden_tree(rng, n, 6)) for n in (256, 1024)]
+    return cases
+
+
 class TestRelabelling:
     def test_permuting_the_points_keeps_the_verdict_and_valid_witnesses(self):
         # the verdict is a property of the space, not of its point order, and
         # the permuted space's own witness satisfies its definition: a center
         # of the star, or a quad whose four points are an X4 or a Y4
         rng = random.Random(26)
-        cases = [(Verdict.US, max_rows(us_weights(rng, n))) for n in (256, 2048)]
-        for nx, ny in ((128, 128), (300, 700)):
-            wx, wy = us_weights(rng, nx), us_weights(rng, ny)
-            cross = str(max(wx + wy) + 1)
-            rows = [row + [cross] * ny for row in max_rows(wx)] + [[cross] * nx + row for row in max_rows(wy)]
-            cases.append((Verdict.FORBIDDEN, rows))
-        cases += [(Verdict.FORBIDDEN, forbidden_tree(rng, n, 6)) for n in (256, 1024)]
-        for verdict, rows in cases:
+        for verdict, rows in large_cases(rng):
             n = len(rows)
             labels = [f"q{i}" for i in range(n)]
             order = list(range(n))
@@ -150,3 +166,43 @@ class TestRelabelling:
             permuted = relabelled(list(space.points), space.dist, order)
             for check in checks:
                 assert check(permuted) == check(space), (index, check.__name__)
+
+
+class TestShift:
+    def test_shift_and_unshift_keep_the_order_and_the_diagnosis(self):
+        # adding a constant to every positive distance, or subtracting one
+        # below min D0, keeps their order: the rank matrix, so the verdict
+        # and both witnesses, and the two transforms undo each other
+        rng = random.Random(28)
+        for _, rows in large_cases(rng):
+            space = FiniteMetricSpace([f"q{i}" for i in range(len(rows))], rows)
+            report = diagnose(space)
+            floor = min_positive_distance(space)
+            down = floor * Fraction(rng.randint(1, 9), 10)
+            up = Fraction(rng.randint(1, 50), rng.randint(1, 7))
+            assert shift(space, 0) is space and unshift(space, 0) is space
+            lowered, raised = shift(space, down), unshift(space, up)
+            assert min_positive_distance(lowered) == floor - down
+            assert min_positive_distance(raised) == floor + up
+            for moved in (lowered, raised):
+                assert rank_matrix(moved) == rank_matrix(space), space.n
+                assert diagnose(moved) == report, space.n
+            assert unshift(lowered, down) == space
+            assert shift(raised, up) == space
+
+    def test_shift_and_unshift_reject_a_non_ultrametric_space_alike(self):
+        # one pair raised above every other distance breaks the strong
+        # triangle inequality through any third point
+        rng = random.Random(28)
+        for _, rows in large_cases(rng)[::2]:
+            n = len(rows)
+            i, j = rng.sample(range(n), 2)
+            rows[i][j] = rows[j][i] = str(max(int(cell) for row in rows for cell in row) + 7)
+            space = FiniteMetricSpace([f"q{k}" for k in range(n)], rows)
+            raised = []
+            for transform in (shift, unshift):
+                with pytest.raises(NotUltrametricError) as info:
+                    transform(space, "1/2")
+                raised.append(info.value.violation)
+            assert raised[0] == raised[1], n
+            assert {raised[0].x, raised[0].y} == {f"q{i}", f"q{j}"}, n

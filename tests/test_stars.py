@@ -28,7 +28,7 @@ from starmetric import (
     Verdict,
 )
 from starmetric.stars import center_condition_violation
-from helpers import center_condition_violation_oracle, random_star
+from helpers import center_condition_violation_oracle, random_star, star_metric_oracle
 
 
 def shuffled(space, rng):
@@ -129,10 +129,45 @@ class TestStarMetric:
             LabeledStarGraph.build("c", 0, {"a": 0})
 
     def test_matches_tree_metric(self):
+        # star_metric is the tree metric of the star's tree; the oracle takes
+        # the star formula over the same point order
         rng = random.Random(13)
         for _ in range(50):
             star = random_star(rng, max_leaves=7)
-            assert star_metric(star) == tree_metric(star.to_tree())
+            assert star_metric(star) == star_metric_oracle(star)
+
+    def test_matches_the_star_formula_at_the_label_extremes(self):
+        # hub label 0, a hub label above every leaf label, and leaf labels
+        # drawn from two values, so most of them tie
+        rng = random.Random(28)
+        for _ in range(60):
+            leaves = [f"v{i}" for i in range(rng.randint(1, 9))]
+            top = rng.randint(1, 6)
+            cases = ((0, range(1, top + 1)), (top + 1, range(top + 1)), (rng.randint(0, 3), (2, 5)))
+            for hub, pool in cases:
+                star = LabeledStarGraph.build("hub", hub, {v: rng.choice(pool) for v in leaves})
+                assert star_metric(star) == star_metric_oracle(star)
+
+    def test_matches_the_star_formula_in_the_point_order_of_a_center(self):
+        # star_from_center keeps the space's point order, the hub anywhere in it
+        rng = random.Random(29)
+        for _ in range(40):
+            space = shuffled(star_metric(random_star(rng, max_leaves=8)), rng)
+            star = star_from_center(space, find_center(space).center)
+            assert star.order == space.points
+            assert star_metric(star) == star_metric_oracle(star) == space
+
+    def test_hand_built_degenerate_star_names_its_edge(self):
+        # a record built past LabeledStarGraph.build raises the tree's error
+        star = LabeledStarGraph("c", Fraction(0), ("a", "b"), (Fraction(0), Fraction(1)))
+        with pytest.raises(DegenerateLabelingError) as info:
+            star_metric(star)
+        assert info.value.edge == ("c", "a")
+
+    def test_hand_built_star_whose_center_is_a_leaf(self):
+        star = LabeledStarGraph("c", Fraction(0), ("c", "a"), (Fraction(1), Fraction(1)))
+        with pytest.raises(ValueError, match="vertex labels must be unique"):
+            star_metric(star)
 
     def test_substar_consistency(self):
         rng = random.Random(17)
