@@ -239,8 +239,9 @@ def sample_dendrogram(spec: GeneratorSpec, index: int = 0) -> FiniteMetricSpace:
     each draw below k is k's bit length of ``getrandbits``, redrawn while not
     below k.  ``SAMPLED_DIGEST`` and the sampler oracle in the tests pin that
     stream to this code, not to ``randrange``'s internals (which draw alike on
-    CPython 3.10-3.13).  The splits are the space's ball tree, which its
-    ultrametric check yields again.
+    CPython 3.10-3.13).  The root split's block holds every point, so its
+    level fills the matrix a whole row at a time.  The splits are the
+    space's ball tree, which its ultrametric check yields again.
     """
     n = spec.n
     labels = _point_labels(n)
@@ -258,7 +259,7 @@ def sample_dendrogram(spec: GeneratorSpec, index: int = 0) -> FiniteMetricSpace:
         return r
 
     # level k stands for the k-th letter (from 1); level 0 is the diagonal
-    rows = [[0] * n for _ in range(n)]
+    rows = []
     stack = [(range(n), len(spec.alphabet))]
     while stack:
         # a split's level is drawn from 1..top and written over its block;
@@ -266,11 +267,16 @@ def sample_dendrogram(spec: GeneratorSpec, index: int = 0) -> FiniteMetricSpace:
         block, top = stack.pop()
         lower = below(top)
         level = lower + 1
-        for x in block:
-            row = rows[x]
-            for y in block:
-                row[y] = level
-            row[x] = 0
+        if not rows:  # the root block holds every point: one list a row
+            rows = [[level] * n for _ in block]
+            for x in block:
+                rows[x][x] = 0
+        else:
+            for x in block:
+                row = rows[x]
+                for y in block:
+                    row[y] = level
+                row[x] = 0
         if lower:
             # any partition into >= 2 parts is reachable; groups follow
             # first appearance

@@ -14,22 +14,23 @@ of ranks; a space holds just the spectrum and that int rank matrix.  The
 structural checks and every order-only kernel (the ultrametric check, the
 nearest neighbours, the center, the four-point classes) read the ranks; a
 single distance is its rank's spectrum value.
-The ``Fraction`` matrix ``dist`` is built on first read, for the routes that
-sum or copy whole rows of values: ``validate``'s metric flag and
-:func:`adjoin_near`; :meth:`FiniteMetricSpace.to_dict` formats each spectrum
-value once instead.  Spaces are immutable and operations return new values.
+The ``Fraction`` matrix ``dist`` is built on first read, for the one route
+that sums values, ``validate``'s metric flag; :func:`adjoin_near` shifts
+ranks and :meth:`FiniteMetricSpace.to_dict` formats each spectrum value once
+instead.  Spaces are immutable and operations return new values.
 The matrix of values, the first strong-triangle violation, each point's
 nearest-neighbour rank and the ball tree (read off the ultrametric check's
-own pass) are found once per space, on first use, purely from the
-immutable ranks and spectrum, so concurrent use needs no locks.  Ties break
-lexicographically in the stored point order: every operation is deterministic.
+own pass, which accepts a space on one total over its pairs) are found once
+per space, on first use, purely from the immutable ranks and spectrum, so
+concurrent use needs no locks.  Ties break lexicographically in the stored
+point order: every operation is deterministic.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping, NoReturn, Optional, Sequence
 
@@ -402,46 +403,64 @@ def _balls(root: tuple):
 
 def _subdominant_tree(dist: Sequence[Sequence[int]]) -> tuple:
     """The ball tree of the subdominant ultrametric u of ``dist``, the path
-    maximum over a minimum spanning tree, as ``(root, leaf order)``, and each
-    point's row sum in u.  O(n^2) for the spanning tree, then O(n).
+    maximum over a minimum spanning tree, as ``(root, leaf order)``, and the
+    total of u over ordered pairs.  O(n^2) for the spanning tree, then O(n).
 
     The tree is read off Prim's join order, a single-linkage order (Gower
     and Ross 1969): a ball is a run of it at the largest join weight inside,
-    and equal maxima make one ball.  A point's row sum adds, for each ball
-    above it, the ball's level once per point of the ball outside the child
-    that holds the point.
+    and equal maxima make one ball.  A ball of size s is u's value on the
+    ordered pairs in two of its children, so when it closes it adds its
+    level times s^2 less the sum of its children's squared sizes.
     """
     order = [0]
-    top = [_INF, 0, []]  # the open balls, [level, leaves, children], on one never closed
+    # the open balls, [level, leaves, children, sum of the children's
+    # squared sizes], on one never closed
+    top = [_INF, 0, [], 0]
     stack = [top]
     node = _LEAF
+    total = 0
     for v, w in _mst_edges(dist):
         order.append(v)
         while top[0] < w:
             stack.pop()
             top[2].append(node)
-            node = (top[0], top[1] + node[1], tuple(top[2]))
+            size = top[1] + node[1]
+            total += top[0] * (size * size - top[3] - node[1] * node[1])
+            node = (top[0], size, tuple(top[2]))
             top = stack[-1]
         if top[0] == w:
             top[1] += node[1]
             top[2].append(node)
+            top[3] += node[1] * node[1]
         else:
-            top = [w, node[1], [node]]
+            top = [w, node[1], [node], node[1] * node[1]]
             stack.append(top)
         node = _LEAF
-    for level, size, children in reversed(stack[1:]):  # the balls the last point ends
-        node = (level, size + node[1], (*children, node))
+    for level, size, children, squares in reversed(stack[1:]):  # the balls the last point ends
+        size += node[1]
+        total += level * (size * size - squares - node[1] * node[1])
+        node = (level, size, (*children, node))
+    return (node, order), total
+
+
+def _subdominant_row_sums(tree: tuple) -> list[int]:
+    """Each point's row sum in the ultrametric whose ball tree is ``tree``,
+    ``(root, leaf order)``, in O(n).  A point's sum adds, for each ball above
+    it, the ball's level once per point of the ball outside the child that
+    holds the point.  Only a rejected space needs them, to name its first
+    row that differs."""
+    root, order = tree
     # each child's total, at its first leaf, where a child ball reads its
     # own when walked, before its children overwrite it
     totals = [0] * len(order)
-    for (level, size, children), starts, _ in _balls(node):
+    for (level, size, children), starts, _ in _balls(root):
         total = totals[starts[0]]
         for child, at in zip(children, starts):
             totals[at] = total + level * (size - child[1])
     sums = [0] * len(order)
     for v, total in zip(order, totals):
         sums[v] = total
-    return (node, order), sums
+    return sums
 
 
 def _first_four_cycle(tree: tuple) -> Optional[tuple[int, int, int, int]]:
@@ -475,21 +494,22 @@ def _first_violation(space: FiniteMetricSpace) -> Optional[Violation]:
     """The first strong-triangle violation, or None, computed once per space
     in O(n^2).
 
-    The subdominant ultrametric u is never above the distances, so a row
-    equals its row in u exactly when the two row sums are equal.  With every
-    sum equal the space is its own u, and keeps u's ball tree; else
-    :func:`_scan_violation` names the triple from the first row whose sum
-    differs.  That u <= d rests on Prim's tree being a true minimum spanning
-    tree, whose path maximum between two points is at most their distance.
+    The subdominant ultrametric u is never above the distances, so the space
+    is its own u exactly when the two totals over ordered pairs are equal;
+    it then keeps u's ball tree.  Else :func:`_scan_violation` names the
+    triple from the first row whose sum differs from its sum in u.  That
+    u <= d rests on Prim's tree being a true minimum spanning tree, whose
+    path maximum between two points is at most their distance.
     """
     if space._violation is False:
         ranks = space._rank_matrix
-        tree, sums = _subdominant_tree(ranks)
-        rows = list(map(sum, ranks))
-        if rows == sums:
+        tree, total = _subdominant_tree(ranks)
+        if sum(map(sum, ranks)) == total:
             space._ball_tree = tree
             space._violation = None
         else:
+            rows = map(sum, ranks)
+            sums = _subdominant_row_sums(tree)
             a = next(a for a, (row, sub) in enumerate(zip(rows, sums)) if row != sub)
             space._violation = _scan_violation(space, a)
     return space._violation
@@ -529,23 +549,25 @@ def _scan_violation(space: FiniteMetricSpace, a: int) -> Violation:
 
 def _nearest(space: FiniteMetricSpace) -> tuple[int, ...]:
     """Each point's nearest-neighbour rank, the smallest off-diagonal rank of
-    its row (0 for a singleton), computed once per space.  Rank 0 is the
-    diagonal and nothing else, so dropping the zeros drops the diagonal."""
+    its row (0 for a singleton), computed once per space in one linear
+    ``min`` a row.  Rank 0 is the diagonal and nothing else, so dropping the
+    zeros drops the diagonal."""
     if space._nearest_ranks is None:
         ranks = space._rank_matrix
-        space._nearest_ranks = tuple(min(filter(None, row), default=0) for row in ranks)
+        rows = map(filter, repeat(None), ranks)
+        space._nearest_ranks = tuple(map(min, rows)) if len(ranks) > 1 else (0,)
     return space._nearest_ranks
 
 
 def validate(space: FiniteMetricSpace) -> UltraDiagnosis:
     """Check the strong triangle inequality over every ordered triple.
 
-    An ultrametric space is accepted in O(n^2) by comparing its row sums
-    with those of its subdominant ultrametric.  Any other space is also
-    rejected in O(n^2), with the first violating triple in lexicographic
-    point order, but pays for the cubic check of the ordinary triangle
-    inequality for ``is_metric``; an ultrametric space is always metric, so
-    both flags are true in that case.
+    An ultrametric space is accepted in O(n^2) by comparing the total of
+    its distances with that of its subdominant ultrametric.  Any other
+    space is also rejected in O(n^2), with the first violating triple in
+    lexicographic point order, but pays for the cubic check of the ordinary
+    triangle inequality for ``is_metric``; an ultrametric space is always
+    metric, so both flags are true in that case.
     """
     violation = _first_violation(space)
     if violation is None:
@@ -688,10 +710,15 @@ def adjoin_near(
             k += 1
     elif label in space.points:
         raise ValueError(f"label {label!r} is already a point of the space")
-    n = space.n
-    rows = [list(row) + [space.dist[a][i]] for i, row in enumerate(space.dist)]
-    new_row = [space.dist[a][i] for i in range(n)] + [Fraction(0)]
-    rows[a][n] = eps
-    new_row[a] = eps
+    # eps is the new least positive value: each old positive rank moves up
+    # one, and the new pair takes rank 1
+    rows = [[r + 1 for r in row] for row in space._rank_matrix]
+    new_row = rows[a][:]
+    new_row[a] = 1
+    for i, row in enumerate(rows):
+        row[i] = 0
+        row.append(new_row[i])
+    new_row.append(0)
     rows.append(new_row)
-    return FiniteMetricSpace(space.points + (label,), rows)
+    values = space._spectrum.values
+    return FiniteMetricSpace._trusted(space.points + (label,), rows, (values[0], eps, *values[1:]))

@@ -9,8 +9,9 @@ search and tests each for a clique.  The order-only kernels, which the
 package runs on each space's int rank matrix, keep their ``Fraction``
 versions here: the constructor's checks with a per-cell parse, the
 spanning-tree ultrametric check, the center search, the center condition, the star formula,
-the violating-triple scan, the quartic 4-cycle scan and the max-metric
-weights, all comparing the exact distances.  The full cubic triple scan and
+the violating-triple scan, the quartic 4-cycle scan, the max-metric
+weights, the nearest-neighbour ranks and the adjunction of a near point, all
+comparing or copying the exact distances.  The full cubic triple scan and
 the quartic 4-cycle scan, which the package replaced by O(n^2) searches, also
 run here on int rank matrices.  The dendrogram sampler keeps its
 ``randrange`` form here, the reference for the draws the package takes
@@ -513,6 +514,26 @@ def scan_violation_oracle(space: FiniteMetricSpace):
         return None
     a, b, c = triple
     return Violation(points[a], points[b], points[c], dist[a][c], max(dist[a][b], dist[b][c]))
+
+
+def nearest_oracle(space: FiniteMetricSpace) -> tuple[int, ...]:
+    """Each point's nearest-neighbour rank: the least off-diagonal value of
+    its row of the ``Fraction`` matrix, as its index in the spectrum."""
+    values = spectrum(space).values
+    return tuple(values.index(min(row[:i] + row[i + 1 :])) for i, row in enumerate(space.dist))
+
+
+def adjoin_near_oracle(space: FiniteMetricSpace, anchor: str, eps, label: str) -> FiniteMetricSpace:
+    """The space with ``label`` adjoined at ``eps`` from ``anchor``, built
+    from the ``Fraction`` matrix: the new row and column copy the anchor's."""
+    a = space.index(anchor)
+    eps = parse_rational(eps)
+    rows = [list(row) + [row[a]] for row in space.dist]
+    rows[a][-1] = eps
+    new_row = rows[a][:]
+    new_row[a], new_row[-1] = eps, Fraction(0)
+    rows.append(new_row)
+    return FiniteMetricSpace(space.points + (label,), rows)
 
 
 def center_condition_violation_oracle(space: FiniteMetricSpace, candidate: str):

@@ -43,7 +43,7 @@ from starmetric import (
     unshift,
     validate,
 )
-from starmetric import cli, decision, spaces
+from starmetric import cli, decision, lab, spaces
 from starmetric.fileio import space_to_json_text
 from starmetric.rationals import parse_rational
 from starmetric.stars import center_condition_violation
@@ -559,6 +559,64 @@ class TestUltrametricGuard:
             with pytest.raises(NotUltrametricError):
                 diagnose(space)
             assert trees == [space.n]
+
+    def test_an_accepted_space_never_sums_its_rows(self, monkeypatch):
+        # one total accepts an ultrametric space; the row sums of its
+        # subdominant ultrametric are read only to name a rejected space's
+        # first differing row
+        def no_row_sums(tree):
+            raise AssertionError("an accepted space summed its rows")
+
+        monkeypatch.setattr(spaces, "_subdominant_row_sums", no_row_sums)
+        rng = random.Random(78)
+        cases = [star_metric(random_star(rng, max_leaves=20)) for _ in range(30)]
+        for k in range(30):
+            points, rows = gen.forbidden_space(rng, rng.randint(6, 24), k % 2 == 1)
+            cases.append(FiniteMetricSpace(points, rows))
+        cases += [sample_space(n=rng.randint(1, 16), seed=78, index=k) for k in range(60)]
+        labels = [f"p{i + 1}" for i in range(5)]
+        values = (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
+        cases += [FiniteMetricSpace._trusted(labels, rows, values) for rows, _ in lab._isometry_classes(5, 3)]
+        verdicts = set()
+        for space in cases:
+            report = diagnose(space)
+            verdicts.add(report.verdict)
+            if report.center is not None:
+                star_from_center(space, report.center.center)
+            if space.n >= 4:
+                check_equidistant(space)
+                check_k112_conjecture(space)
+                check_k13_conjecture(space)
+        assert verdicts == {Verdict.US, Verdict.FORBIDDEN}, verdicts
+
+    def test_a_rejected_space_sums_its_rows_once(self, monkeypatch):
+        calls = []
+        row_sums = spaces._subdominant_row_sums
+
+        def counted(tree):
+            calls.append(len(tree[1]))
+            return row_sums(tree)
+
+        monkeypatch.setattr(spaces, "_subdominant_row_sums", counted)
+        rng = random.Random(79)
+        rejected = 0
+        while rejected < 20:
+            base = star_metric(random_star(rng, max_leaves=20))
+            if base.n < 3:
+                continue
+            rows = [list(row) for row in base.dist]
+            i, j = rng.sample(range(base.n), 2)
+            rows[i][j] = rows[j][i] = rows[i][j] * 3 + 1
+            space = FiniteMetricSpace(base.points, rows)
+            calls.clear()
+            if validate(space).is_ultrametric:
+                assert calls == []
+                continue
+            rejected += 1
+            for check in (diagnose, find_center, embeds_in_dplus, forbidden_scan):
+                with pytest.raises(NotUltrametricError):
+                    check(space)
+            assert calls == [space.n]
 
     @pytest.mark.parametrize("command", ["diagnose", "scan"])
     def test_a_forbidden_space_grows_one_spanning_tree(self, tmp_path, monkeypatch, capsys, command):

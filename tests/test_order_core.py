@@ -25,9 +25,15 @@ from starmetric import (
     validate,
 )
 from starmetric import cli, lab, spaces
-from starmetric.fileio import parse_space_file, space_to_json_text
+from starmetric.fileio import parse_space_file, parse_space_text, space_to_json_text
 from starmetric.rationals import parse_rational
-from starmetric.spaces import _first_violation, _rank_values, _scan_violation, _subdominant_tree
+from starmetric.spaces import (
+    _first_violation,
+    _rank_values,
+    _scan_violation,
+    _subdominant_row_sums,
+    _subdominant_tree,
+)
 from starmetric.stars import center_condition_violation
 from helpers import (
     center_condition_violation_oracle,
@@ -38,6 +44,7 @@ from helpers import (
     equals_subdominant_oracle,
     find_center_oracle,
     forbidden_scan_oracle,
+    nearest_oracle,
     outcome,
     prim_reference,
     sample_space,
@@ -265,9 +272,12 @@ class TestKernelsOnRanks:
             ultra = equals_subdominant_oracle(space.dist)
             ranks = rank_matrix(space)
             sub = subdominant_oracle(ranks)
-            _, sums = _subdominant_tree(ranks)
+            tree, total = _subdominant_tree(ranks)
+            sums = _subdominant_row_sums(tree)
             assert sums == list(map(sum, sub))
             assert (sums == list(map(sum, ranks))) == ultra
+            assert total == sum(sums)
+            assert (total == sum(map(sum, ranks))) == ultra
             assert validate(space) == validate_oracle(space)
             for p in space.points:
                 assert center_condition_violation(space, p) == center_condition_violation_oracle(space, p)
@@ -330,11 +340,41 @@ class TestKernelsOnRanks:
         for space in cases:
             ranks = rank_matrix(space)
             assert list(spaces._mst_edges(ranks)) == prim_reference(ranks), ranks
-            _, sums = _subdominant_tree(ranks)
+            tree, total = _subdominant_tree(ranks)
+            sums = _subdominant_row_sums(tree)
             assert sums == list(map(sum, subdominant_oracle(ranks))), ranks
+            assert total == sum(sums), ranks
             assert _first_violation(space) == scan_violation_oracle(space), ranks
             rejected += space._ball_tree is None
         assert rejected >= 400 and len(cases) - rejected >= 2000, (rejected, len(cases))
+
+    def test_nearest_ranks_agree_with_the_fraction_minimum(self):
+        # every labelled space of up to six points over three letters,
+        # seeded non-ultrametric int matrices and the 1,024-point CSV star
+        rng = random.Random(8600)
+        cases = []
+        for n in range(1, 7):
+            cases += enumerate_ultrametrics(GeneratorSpec(n=n, alphabet=("1", "2", "3"), override_caps=True))
+        for _ in range(600):
+            n = rng.randint(1, 14)
+            dist = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    dist[i][j] = dist[j][i] = rng.randint(1, rng.choice((2, 5, n * n)))
+            cases.append(FiniteMetricSpace([f"q{i}" for i in range(n)], dist))
+        n = 1024
+        label = [1 + i % 13 for i in range(n - 1)] + [0]
+        lines = [",".join(f"p{i}" for i in range(n))]
+        lines += [",".join("0" if i == j else str(max(label[i], label[j])) for j in range(n)) for i in range(n)]
+        cases.append(parse_space_text("\n".join(lines), "csv"))
+        rejected = 0
+        for space in cases:
+            if space.n == 1:
+                assert spaces._nearest(space) == (0,)
+            else:
+                assert spaces._nearest(space) == nearest_oracle(space), rank_matrix(space)
+            rejected += not validate(space).is_ultrametric
+        assert rejected >= 400, rejected
 
 
 class TestNoValueMatrix:

@@ -24,15 +24,18 @@ from starmetric import (
     are_isometric,
     equidistant,
     min_pair,
+    min_positive_distance,
     rank_matrix,
     restrict,
     spectrum,
+    star_metric,
     swap_isometry,
     validate,
 )
 from starmetric.spaces import require_ultrametric
 from helpers import (
-    construct_oracle, construct_outcome, outcome, relabel, sample_space, validate_oracle,
+    adjoin_near_oracle, construct_oracle, construct_outcome, outcome, random_star, relabel,
+    sample_space, validate_oracle,
 )
 
 
@@ -465,6 +468,28 @@ class TestAdjoinNear:
         base = FiniteMetricSpace(("c", "d"), [[0, 2], [2, 0]])
         grown = adjoin_near(base, "c", 1)
         assert grown.points == ("c", "d", "c2")
+
+    def test_matches_the_fraction_matrix_build(self):
+        # seeded stars and ball trees, each anchor in turn, eps below min D0
+        # as a Fraction, an int or a text
+        rng = random.Random(2901)
+        cases = [star_metric(random_star(rng, max_leaves=14)) for _ in range(40)]
+        cases += [sample_space(n=rng.randint(1, 12), seed=2902, index=k) for k in range(40)]
+        cases.append(FiniteMetricSpace(("a",), [[0]]))
+        for space in cases:
+            floor = min_positive_distance(space) or Fraction(5)
+            for anchor in space.points:
+                eps = rng.choice((floor / 2, floor / 7, str(floor / 3)))
+                if floor > 1:
+                    eps = rng.choice((eps, 1))
+                grown = adjoin_near(space, anchor, eps, label="new")
+                assert grown == adjoin_near_oracle(space, anchor, eps, "new")
+
+    def test_builds_no_value_matrix(self):
+        space = star_metric(random_star(random.Random(2903), max_leaves=20))
+        grown = adjoin_near(space, space.points[-1], Fraction(1, 8))
+        assert space._dist is None and grown._dist is None
+        assert validate(grown).is_ultrametric and grown._dist is None
 
 
 class TestAreIsometric:
