@@ -14,13 +14,16 @@ counterexample or at budget/exhaustion, and re-verify any counterexample
 from its serialized form through an independent load path before reporting
 it.
 
-Every check is unchanged by relabelling the points, so an exhaustive
-campaign checks one representative per isometry class, built from its ball
-tree, and counts it as the n!/|Aut| labelled matrices of its class: the
-reported ``instances`` counts labelled matrices.  If any class fails or
-raises, the labelled scan runs from the start, so a counterexample, its
-explanation and ``instances`` are always the labelled route's; a failed
-self-check (``InternalCheckError``) propagates instead.
+Every check is unchanged by relabelling the points and reads only the
+order of the distances, so an exhaustive campaign checks one representative
+per order class: a ball tree whose levels are exactly 1..j, over the first j
+letters, built just before its check.  It counts as the n!/|Aut| labelled
+matrices of its isometry class times the C(k, j) choices of j of the k
+letters, and the reported ``instances``, the labelled matrices, must equal
+their count V(n, k).  If any class fails or raises, the labelled scan runs
+from the start, so a counterexample, its explanation and ``instances`` are
+always the labelled route's; a failed self-check (``InternalCheckError``)
+propagates instead.
 
 The checks build no subspaces and read no quad loop.  Every four-point
 ultrametric space is weakly similar to exactly one of the six models, so
@@ -49,7 +52,7 @@ import time
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, groupby, islice
-from math import factorial
+from math import comb, factorial
 from typing import Iterator, Optional
 
 from .decision import embeds_in_dplus
@@ -58,7 +61,7 @@ from .errors import InternalCheckError, SizeCapError, _Record
 from .models import CONJECTURE_IDS, W4
 from .rationals import format_rational, parse_rational
 from .similarity import _quad_model, weakly_similar
-from .spaces import FiniteMetricSpace, RankMatrix, rank_matrix, require_ultrametric
+from .spaces import FiniteMetricSpace, rank_matrix, require_ultrametric
 from .spaces import _LEAF, _balls, _require_ball_tree
 
 EXHAUSTIVE_MAX_POINTS = 5
@@ -167,21 +170,35 @@ def enumerate_ultrametrics(spec: GeneratorSpec) -> Iterator[FiniteMetricSpace]:
     yield from fill(0)
 
 
-def _isometry_classes(n: int, letters: int) -> tuple[tuple[RankMatrix, int], ...]:
-    """One level matrix per isometry class of ``n``-point ultrametric spaces
-    whose distances are among ``letters`` letters, each with its orbit size.
+def _isometry_classes(n: int, letters: int) -> Iterator[tuple[tuple, int, int]]:
+    """The ball tree of each isometry class of ``n``-point ultrametric spaces
+    whose distances are among ``letters`` letters, one at a time, with its
+    orbit size and the bit set of its levels, the diagonal's 0 among them
+    (bit ``v`` for level ``v``).
 
     A finite ultrametric space is fixed up to isometry by its ball tree: the
     points are its leaves, every internal node has at least two children and
     a level above theirs, and a pair's distance is the level of its least
     common node.  Trees are built bottom-up with each node's children taken
     as a multiset of trees listed once each, so every class appears exactly
-    once.  The representative numbers the leaves depth first; level ``v``
-    stands for the ``v``-th letter and 0 for the diagonal.  The orbit size
-    is the number of labelled matrices in the class: n!/|Aut|, where |Aut|
-    is the product over the nodes of the factorials of the multiplicities
-    of equal child subtrees.  Its ultrametric check yields the tree again.
+    once; level ``v`` stands for the ``v``-th letter.  The orbit size is the
+    number of labelled matrices in the class: n!/|Aut|, where |Aut| is the
+    product over the nodes of the factorials of the multiplicities of equal
+    child subtrees.  :func:`_level_rows` builds a tree's representative.
     """
+    # each part's |Aut| and level bits, by id: the cache of ``trees`` keeps
+    # every part alive while the listing runs
+    measured = {id(_LEAF): (1, 1)}
+
+    def measure(node: tuple) -> tuple[int, int]:
+        # equal children are one listed tree, so they sit side by side
+        aut, levels = 1, 1 << node[0]
+        for child, equal in groupby(node[2]):
+            count = len(list(equal))
+            child_aut, child_levels = measured[id(child)]
+            aut *= child_aut**count * factorial(count)
+            levels |= child_levels
+        return aut, levels
 
     @cache
     def trees(leaves: int, top: int) -> tuple:
@@ -207,25 +224,63 @@ def _isometry_classes(n: int, letters: int) -> tuple[tuple[RankMatrix, int], ...
                     chosen.pop()
 
             pick(0, leaves)
+        if leaves < n:  # only a smaller tree is ever a part
+            measured.update((id(node), measure(node)) for node in found)
         return tuple(found)
 
-    classes = []
     for tree in trees(n, letters):
-        rows = [[0] * n for _ in range(n)]
-        aut = 1
-        for (level, size, children), starts, _ in _balls(tree):
-            # a ball writes its level over its block; its child balls, walked
-            # after it, overwrite their own blocks
-            first = starts[0]
-            block = [level] * size
-            for x in range(first, first + size):
-                rows[x][first : first + size] = block
-            for _, equal in groupby(children):
-                aut *= factorial(len(list(equal)))
-        for x in range(n):
-            rows[x][x] = 0
-        classes.append((tuple(map(tuple, rows)), factorial(n) // aut))
-    return tuple(classes)
+        aut, levels = measure(tree)
+        yield tree, factorial(n) // aut, levels
+
+
+def _level_rows(tree: tuple) -> list[list[int]]:
+    """The level matrix of a ball tree, its leaves numbered depth first and 0
+    on the diagonal."""
+    n = tree[1]
+    rows = [[0] * n for _ in range(n)]
+    for (level, size, _), starts, _ in _balls(tree):
+        # a ball writes its level over its block; its child balls, walked
+        # after it, overwrite their own blocks
+        first = starts[0]
+        block = [level] * size
+        for x in range(first, first + size):
+            rows[x][first : first + size] = block
+    for x in range(n):
+        rows[x][x] = 0
+    return rows
+
+
+def _order_classes(n: int, letters: int) -> Iterator[tuple[tuple, int]]:
+    """The ball tree of each order class of ``n``-point ultrametric spaces
+    over ``letters`` letters, one at a time, with the number of labelled
+    matrices it stands for.
+
+    An order class is a ball tree whose levels are exactly 1..j: its
+    isometry classes over the letters are its n!/|Aut| relabellings of the
+    points times its C(letters, j) choices of j letters for the levels.
+    """
+    for tree, orbit, levels in _isometry_classes(n, letters):
+        # levels 0..j leave no gap; a tree whose levels do relabels another
+        if not levels & (levels + 1):
+            yield tree, orbit * comb(letters, levels.bit_length() - 1)
+
+
+def _ultrametric_count(n: int, letters: int) -> int:
+    """V(n, k): the number of labelled ultrametric matrices on ``n`` points
+    with distances among ``letters`` letters, by the exponential formula.
+
+    V(1, j) = 1, V(m, 0) = 0 for m >= 2, and V(m, j) = P(m, j - 1), where
+    P(0, j) = 1 and P(m, j) sums C(m - 1, s - 1) V(s, j) P(m - s, j) over
+    the size s of the block that holds the first point: the blocks are the
+    balls under the top letter.
+    """
+    counts = [0, 1] + [0] * (n - 1)
+    for _ in range(letters):
+        blocks = [1] + [0] * n
+        for m in range(1, n + 1):
+            blocks[m] = sum(comb(m - 1, s - 1) * counts[s] * blocks[m - s] for s in range(1, m + 1))
+        counts = blocks
+    return counts[n]
 
 
 def sample_dendrogram(spec: GeneratorSpec, index: int = 0) -> FiniteMetricSpace:
@@ -600,18 +655,21 @@ def _sample_chunk(spec: GeneratorSpec, which: str, start: int) -> Optional[tuple
 
 
 def _orbit_sum_if_all_hold(spec: GeneratorSpec, which: str) -> Optional[int]:
-    """The number of labelled spaces when one representative of each
-    isometry class satisfies the conjecture, else None.
+    """The number of labelled spaces when one representative of each order
+    class satisfies the conjecture, else None.
 
-    Every check is unchanged by relabelling the points, so a class holds iff
-    each of its labelled matrices does.  A failed self-check propagates.
+    Every check reads only the order of the distances and is unchanged by
+    relabelling the points, so an order class holds iff each of its
+    labelled matrices does.  Each class's rows are built just before its
+    check.  A failed self-check propagates.
     """
     labels = _point_labels(spec.n)
     values = (Fraction(0),) + spec.alphabet
     total = 0
-    for rows, orbit in _isometry_classes(spec.n, len(spec.alphabet)):
+    for tree, weight in _order_classes(spec.n, len(spec.alphabet)):
         try:
-            outcome = evaluate_conjecture(which, FiniteMetricSpace._trusted(labels, rows, values))
+            space = FiniteMetricSpace._trusted(labels, _level_rows(tree), values)
+            outcome = evaluate_conjecture(which, space)
         except InternalCheckError:
             # a failed self-check is a bug to report, not a case to rescan
             raise
@@ -620,7 +678,7 @@ def _orbit_sum_if_all_hold(spec: GeneratorSpec, which: str) -> Optional[int]:
             return None
         if outcome is not None:
             return None
-        total += orbit
+        total += weight
     return total
 
 
@@ -629,10 +687,12 @@ def run_campaign(spec: GeneratorSpec, which: str, jobs: int = 1) -> ConjectureRe
 
     Stops at the first counterexample (by enumeration order) or at
     exhaustion/budget.  An exhaustive run first checks one representative
-    per isometry class; only when one fails or raises does it scan the
+    per order class; only when one fails or raises does it scan the
     labelled matrices, and a failed self-check from a representative is
-    raised, not rescanned.  A counterexample must re-verify from its serialized
-    form or the run aborts.  ``jobs`` > 1 parallelizes sampled campaigns over
+    raised, not rescanned.  Its ``instances`` must equal the count V(n, k)
+    of labelled matrices before it reports ``EXHAUSTED_HOLDS``, and a
+    counterexample must re-verify from its serialized form, or the run
+    aborts.  ``jobs`` > 1 parallelizes sampled campaigns over
     index chunks, at most one worker per CPU and per sample and a few chunks
     per worker queued; chunks are read in index order and those not started
     at the first counterexample are cancelled: the report is the sequential one.
@@ -698,6 +758,11 @@ def run_campaign(spec: GeneratorSpec, which: str, jobs: int = 1) -> ConjectureRe
         counterexample = {"space": space_dict, "explanation": explanation}
         status = STATUS_COUNTEREXAMPLE
     elif spec.mode == "exhaustive":
+        expected = _ultrametric_count(spec.n, len(spec.alphabet))
+        if instances != expected:
+            raise InternalCheckError(
+                f"an exhaustive campaign counted {instances} labelled matrices, not V(n, k) = {expected}"
+            )
         status = STATUS_EXHAUSTED
     else:
         status = STATUS_SAMPLE

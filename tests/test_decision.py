@@ -576,7 +576,7 @@ class TestUltrametricGuard:
         cases += [sample_space(n=rng.randint(1, 16), seed=78, index=k) for k in range(60)]
         labels = [f"p{i + 1}" for i in range(5)]
         values = (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
-        cases += [FiniteMetricSpace._trusted(labels, rows, values) for rows, _ in lab._isometry_classes(5, 3)]
+        cases += [FiniteMetricSpace._trusted(labels, lab._level_rows(tree), values) for tree, _, _ in lab._isometry_classes(5, 3)]
         verdicts = set()
         for space in cases:
             report = diagnose(space)

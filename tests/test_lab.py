@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -457,42 +458,107 @@ LETTERS = ("1/2", "1", "3", "7")
 
 # the sha256 of the JSON of every (level rows, orbit size) pair that
 # _isometry_classes lists for n <= 9 over k <= 4 letters, one per line, as
-# the listing gave them when pick still scanned every part
+# the listing gave them when pick still scanned every part and built every
+# class's rows before the first check
 CLASSES_DIGEST = "696389eaecb0d0c94b0ed82b8cade6a3937cfbca94b8dc8d8c142ebdd721bb9f"
 
 
+def shape(tree):
+    """A ball tree's levels re-ranked densely, as nested sorted tuples: equal
+    shapes are trees of one order class, whatever the order of children."""
+    levels = sorted(level for (level, _, _), _, _ in spaces._balls(tree))
+    rank = {level: r for r, level in enumerate(dict.fromkeys(levels), 1)}
+
+    def form(node):
+        level, _, children = node
+        return (rank.get(level, 0), tuple(sorted(form(child) for child in children)))
+
+    return form(tree)
+
+
 class TestIsometryClasses:
-    """Exhaustive campaigns check one ball-tree representative per class; the
-    labelled enumerator is the oracle."""
+    """Exhaustive campaigns check one ball-tree representative per order
+    class; the labelled enumerator and the count V(n, k) are the oracles."""
 
     @pytest.mark.parametrize(
         "n, k", [(n, k) for n in range(4, 8) for k in (1, 2, 3)] + [(4, 4), (5, 4), (6, 4)]
     )
     def test_orbit_sizes_sum_to_the_labelled_count(self, n, k):
         spec = GeneratorSpec(n=n, alphabet=LETTERS[:k], override_caps=True)
-        classes = lab._isometry_classes(n, k)
-        assert sum(orbit for _, orbit in classes) == len(list(enumerate_ultrametrics(spec)))
+        labelled = len(list(enumerate_ultrametrics(spec)))
+        assert sum(orbit for _, orbit, _ in lab._isometry_classes(n, k)) == labelled
+        assert sum(weight for _, weight in lab._order_classes(n, k)) == labelled
+        assert lab._ultrametric_count(n, k) == labelled
 
     def test_the_class_listing_is_pinned(self):
         digest = hashlib.sha256()
         for n in range(1, 10):
             for k in range(1, 5):
-                for rows, orbit in lab._isometry_classes(n, k):
-                    digest.update(json.dumps([rows, orbit]).encode() + b"\n")
+                for tree, orbit, _ in lab._isometry_classes(n, k):
+                    digest.update(json.dumps([lab._level_rows(tree), orbit]).encode() + b"\n")
         assert digest.hexdigest() == CLASSES_DIGEST
 
     @pytest.mark.parametrize("k, labelled, classes", [(3, 167_894, 223), (4, 1_855_570, 1_344)])
     def test_eight_points_match_the_multichain_counts(self, k, labelled, classes):
-        found = lab._isometry_classes(8, k)
+        found = list(lab._isometry_classes(8, k))
         assert len(found) == classes
-        assert sum(orbit for _, orbit in found) == labelled
+        assert sum(orbit for _, orbit, _ in found) == labelled
+        assert sum(weight for _, weight in lab._order_classes(8, k)) == labelled
+        assert lab._ultrametric_count(8, k) == labelled
+
+    @pytest.mark.parametrize(
+        "n, k, classes, order_classes",
+        [(5, 3, 27, 15), (8, 3, 223, 181), (8, 4, 1_344, 761), (10, 5, 55_627, 27_381)],
+    )
+    def test_order_classes_are_the_gapless_trees(self, n, k, classes, order_classes):
+        listed = list(lab._isometry_classes(n, k))
+        kept = []
+        for tree, _, bits in listed:
+            levels = {0} | {level for (level, _, _), _, _ in spaces._balls(tree)}
+            assert bits == sum(1 << level for level in levels)
+            if levels == set(range(len(levels))):
+                kept.append(tree)
+        assert len(listed) == classes
+        assert [tree for tree, _ in lab._order_classes(n, k)] == kept
+        assert len(kept) == order_classes
+
+    @pytest.mark.parametrize(
+        "n, k, count",
+        [(1, 0, 1), (2, 0, 0), (4, 1, 1), (5, 3, 358), (9, 4, 26_097_835), (12, 4, 121_629_173_423),
+         (13, 4, 2_355_470_737_637), (14, 3, 402_577_243_425)],
+    )
+    def test_the_labelled_count_recursion(self, n, k, count):
+        assert lab._ultrametric_count(n, k) == count
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(4, 8) for k in range(1, 5)])
+    def test_each_isometry_class_is_checked_as_its_order_class(self, n, k):
+        # an isometry class over k letters is an order class of j levels and
+        # a choice of j of the k letters, and every check reads only the order
+        values = (Fraction(0),) + tuple(map(Fraction, LETTERS[:k]))
+        labels = lab._point_labels(n)
+        representatives = {}
+        for tree, weight in lab._order_classes(n, k):
+            assert shape(tree) not in representatives
+            representatives[shape(tree)] = lab.FiniteMetricSpace._trusted(labels, lab._level_rows(tree), values)
+        relabellings = Counter()
+        for tree, _, _ in lab._isometry_classes(n, k):
+            space = lab.FiniteMetricSpace._trusted(labels, lab._level_rows(tree), values)
+            representative = representatives[shape(tree)]
+            relabellings[shape(tree)] += 1
+            for which, check in CHECKS.items():
+                assert lab.evaluate_conjecture(which, space) == lab.evaluate_conjecture(which, representative)
+                assert check(space) == check(representative), (which, tree)
+        for form, count in relabellings.items():
+            assert count == math.comb(k, form[0]), form
+        assert set(relabellings) == set(representatives)
 
     @pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 6) for k in range(1, 5)])
     def test_each_labelled_space_is_isometric_to_one_representative(self, n, k):
         # the canonical form of a level matrix is a complete isometry invariant
         spec = GeneratorSpec(n=n, alphabet=LETTERS[:k])
         orbits = Counter()
-        for rows, orbit in lab._isometry_classes(n, k):
+        for tree, orbit, _ in lab._isometry_classes(n, k):
+            rows = lab._level_rows(tree)
             space = lab.FiniteMetricSpace._trusted(lab._point_labels(n), rows, (0,) + spec.alphabet)
             assert validate(space).is_ultrametric
             assert canonical_form(rows) not in orbits
@@ -517,20 +583,20 @@ class TestIsometryClasses:
 
         monkeypatch.setattr(lab, "evaluate_conjecture", counted)
         by_class = run_campaign(spec, which).to_dict()
-        assert calls[which] == len(lab._isometry_classes(n, k))
+        assert calls[which] == sum(1 for _ in lab._order_classes(n, k))
         assert by_class["status"] == "EXHAUSTED_HOLDS"
         assert json.dumps(by_class) == json.dumps(labelled_route(monkeypatch, spec, which))
 
     @pytest.mark.parametrize("which", sorted(CHECKS))
     def test_a_failing_class_reports_the_first_labelled_counterexample(self, monkeypatch, which):
         spec = GeneratorSpec(n=5, alphabet=("1", "2", "3"))
-        # flag every member of one class
-        rows, _ = lab._isometry_classes(5, 3)[-2]
-        flagged = canonical_form(rows)
-        level = {v: i for i, v in enumerate((0,) + spec.alphabet)}
+        # flag every member of one order class, as a check reads it: by the
+        # order of its distances, whatever their values
+        tree, _ = list(lab._order_classes(5, 3))[-2]
+        flagged = canonical_form(lab._level_rows(tree))
 
         def flag(which, space):
-            if canonical_form([[level[v] for v in row] for row in space.dist]) == flagged:
+            if canonical_form(lab.rank_matrix(space)) == flagged:
                 return f"{which}: flagged class"
             return None
 
@@ -577,6 +643,22 @@ class TestIsometryClasses:
             run_campaign(spec, "k13")
         # no labelled scan ran after the first representative
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("wrong", ["no letter choice", "one class short"])
+    def test_a_wrong_orbit_sum_crashes_the_campaign(self, monkeypatch, wrong):
+        spec = GeneratorSpec(n=5, alphabet=("1", "2", "3"))
+        order_classes = lab._order_classes
+
+        def miscounted(n, k):
+            classes = list(order_classes(n, k))
+            if wrong == "one class short":
+                return classes[1:]
+            # each class weighed without its C(k, j) choices of letters
+            return [(tree, weight // math.comb(k, max(map(max, lab._level_rows(tree))))) for tree, weight in classes]
+
+        monkeypatch.setattr(lab, "_order_classes", miscounted)
+        with pytest.raises(InternalCheckError, match="not V\\(n, k\\) = 358"):
+            run_campaign(spec, "k13")
 
 
 class TestQuadMemo:
@@ -686,8 +768,8 @@ def tree_cases():
     for n in range(2, 9):
         for k in (1, 2, 3, 4):
             values = (Fraction(0),) + tuple(map(Fraction, LETTERS[:k]))
-            for rows, _ in lab._isometry_classes(n, k):
-                yield lab.FiniteMetricSpace._trusted(lab._point_labels(n), rows, values)
+            for tree, _, _ in lab._isometry_classes(n, k):
+                yield lab.FiniteMetricSpace._trusted(lab._point_labels(n), lab._level_rows(tree), values)
     for index in range(300):
         yield sample_dendrogram(GeneratorSpec(n=2 + index % 15, alphabet=LETTERS, mode="sample", seed=43), index)
 
@@ -718,7 +800,8 @@ class TestCensus:
     def test_every_isometry_class_to_eight_points_over_three_letters(self):
         values = (0,) + LETTERS[:3]
         for n in range(4, 9):
-            for rows, _ in lab._isometry_classes(n, 3):
+            for tree, _, _ in lab._isometry_classes(n, 3):
+                rows = lab._level_rows(tree)
                 space = lab.FiniteMetricSpace._trusted(lab._point_labels(n), rows, values)
                 assert census_models(space) == model_set_oracle(space), rows
 
@@ -783,7 +866,7 @@ class TestCensus:
             run_campaign(GeneratorSpec(n=8, alphabet=LETTERS, mode="sample", seed=5, count=50), which)
             assert grown() == 50
             run_campaign(GeneratorSpec(n=5, alphabet=LETTERS[:3]), which)
-            assert grown() == len(lab._isometry_classes(5, 3))
+            assert grown() == 15  # the order classes at n = 5 over 3 letters
         # a flagged sample is reported after its reload is checked again
         spec = GeneratorSpec(n=8, alphabet=LETTERS, mode="sample", seed=5, count=50)
         flagged = sample_dendrogram(spec, 21)
